@@ -171,10 +171,10 @@ def _end_trace(tracer, clock, *, duration, tenant, status=None):
 def test_tail_sampling_keeps_signal_within_budget(capsys):
     clock = VirtualClock()
     tracer = Tracer("dgx-session", clock=clock, max_spans=4096)
-    tracer.exporter = lambda span: None
     sampler = TraceSampler(
         budget=BUDGET, slow_threshold_s=30.0, max_kept_ids=4096
     )
+    sampler.add_sink(lambda span: None)
     sampler.attach(tracer)
 
     tenants = ("lab-a", "lab-b")

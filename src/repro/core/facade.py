@@ -141,9 +141,6 @@ class Session:
         # client-half black box: DGX-side spans (the daemon half records
         # its own via the ICE) plus the session's metric snapshots
         self.recorder = FlightRecorder("dgx-session", clock=self.tracer.clock)
-        self.recorder.attach_tracer(
-            self.tracer, only=lambda s: not is_daemon_side_span(s)
-        )
         self.recorder.observe_metrics(self.metrics)
         # client-half live feed: DGX-side span completions plus every
         # metric write; the daemon half streams its own spans/events and
@@ -151,9 +148,6 @@ class Session:
         # recorder's, so no event ever appears on both halves)
         self.bus = TelemetryBus(
             "dgx-session", clock=self.tracer.clock, metrics=self.metrics
-        )
-        self.bus.attach_tracer(
-            self.tracer, only=lambda s: not is_daemon_side_span(s)
         )
         self.bus.observe_metrics(self.metrics)
         # session-half time-series rollups: the DGX slice of the shared
@@ -171,13 +165,17 @@ class Session:
         )
         for objective in default_objectives():
             self.slo_engine.add(objective)
-        # tail sampling + per-trace analytics. Order matters on the single
-        # exporter slot: the recorder/bus chain attached above becomes the
-        # sampler's *gated* downstream (dropped traces never reach the
-        # black box or live feed), while the TraceIndex attaches after the
-        # sampler took the slot, so it indexes every finished span
-        # regardless of verdicts — explain() must never miss a trace.
+        # tail sampling + per-trace analytics: the recorder and bus take
+        # the sampler's kept traces when there is a sampler (dropped
+        # traces never reach the black box or live feed), while the
+        # TraceIndex takes every finished span from the tracer itself —
+        # explain() must never miss a trace. close() removes all of them.
         self.sampler: TraceSampler | None = None
+        self.trace_index = TraceIndex(
+            clock=self.tracer.clock, metrics=self.metrics
+        )
+        self._sink_removers = [self.trace_index.attach(self.tracer)]
+        kept = self.tracer
         if self.session_config.trace_sample_budget is not None:
             self.sampler = TraceSampler(
                 budget=self.session_config.trace_sample_budget,
@@ -185,12 +183,14 @@ class Session:
                 breach=lambda root: bool(self.slo_engine.active_alerts()),
                 metrics=self.metrics,
             )
-            self.sampler.attach(self.tracer)
+            self._sink_removers.append(self.sampler.attach(self.tracer))
             self.slo_engine.attach_sampler(self.sampler)
-        self.trace_index = TraceIndex(
-            clock=self.tracer.clock, metrics=self.metrics
-        )
-        self.trace_index.attach(self.tracer)
+            kept = self.sampler
+        dgx_side = lambda s: not is_daemon_side_span(s)  # noqa: E731
+        self._sink_removers += [
+            self.recorder.attach_tracer(kept, only=dgx_side),
+            self.bus.attach_tracer(kept, only=dgx_side),
+        ]
         self._aggregator: ObsAggregator | None = None
 
         self._control_uri: str | None = None
@@ -319,6 +319,8 @@ class Session:
             if self._sp200_ready:
                 self.client.call_Disconnect_SP200()
         finally:
+            for remove in self._sink_removers:
+                remove()
             if self.sampler is not None:
                 self.sampler.flush()
             self.bus.detach()

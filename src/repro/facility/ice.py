@@ -27,6 +27,7 @@ from __future__ import annotations
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 from repro.clock import Clock, WALL
 from repro.durability.dedup_journal import DedupJournal
@@ -172,9 +173,10 @@ class ElectrochemistryICE:
         #: session observability — wired by :meth:`attach_observability`
         self.tracer = None
         self.metrics = None
+        self._sink_removers: list[Callable[[], None]] = []
         #: daemon-half flight recorder, served over the control channel
         #: (``FlightRecorderServer.OBJECT_ID``); :meth:`attach_observability`
-        #: chains it onto the tracer for daemon-side spans
+        #: adds it as a tracer sink for daemon-side spans
         self.recorder: FlightRecorder = parts["recorder"]
         self.recorder_uri: str = parts["recorder_uri"]
         #: daemon-half live telemetry bus, served over the control
@@ -454,6 +456,8 @@ class ElectrochemistryICE:
         tracer sees client-side call spans *and* daemon-side dispatch
         spans — the wire context joins them into one trace. Clients and
         mounts created *after* this call inherit the pair by default.
+        Each call replaces the previous one's wiring: the daemon halves
+        leave the old tracer and their store follows the new registry.
         """
         self.tracer = tracer
         self.metrics = metrics
@@ -469,27 +473,32 @@ class ElectrochemistryICE:
         self.share.metrics = metrics
         if self.simnet is not None:
             self.simnet.metrics = metrics
+        for remove in self._sink_removers:
+            remove()
+        self._sink_removers = []
         # the single in-process tracer sees both facilities' spans; the
         # daemon-half recorder keeps only the ACL-side ones so the two
         # halves of a merged dump stay disjoint
         if tracer is not None:
             self.recorder.clock = tracer.clock
-            self.recorder.attach_tracer(tracer, only=is_daemon_side_span)
             # same split for the live feed: the daemon bus streams only
             # ACL-side spans, the session bus only DGX-side ones, so the
             # merged session.stream() never sees a span twice
             self.telemetry_bus.clock = tracer.clock
-            self.telemetry_bus.attach_tracer(tracer, only=is_daemon_side_span)
+            self._sink_removers = [
+                self.recorder.attach_tracer(tracer, only=is_daemon_side_span),
+                self.telemetry_bus.attach_tracer(tracer, only=is_daemon_side_span),
+            ]
         if metrics is not None:
             self.recorder.observe_metrics(metrics)
             # the shared in-process registry is split by metric-name
             # prefix: this store rolls up only the daemon-side slice,
             # the session store takes the complement, so a two-source
             # aggregator never counts a write twice
-            if not self.obs_store.attached:
-                if tracer is not None:
-                    self.obs_store.clock = tracer.clock
-                self.obs_store.attach(metrics, only=is_daemon_side_metric)
+            self.obs_store.close()
+            if tracer is not None:
+                self.obs_store.clock = tracer.clock
+            self.obs_store.attach(metrics, only=is_daemon_side_metric)
 
     # ------------------------------------------------------------------
     # Remote-side helpers (what runs on the DGX)

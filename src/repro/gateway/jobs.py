@@ -11,17 +11,17 @@ execution replays already-performed instrument calls from the daemon's
 dedup journal instead of re-executing them.
 
 Alongside the table, a :class:`JobFeed` retention ring records one
-event per transition and serves them through the exact cursor/gap
-contract of ``Telemetry_Poll`` (PROTOCOLS §1.5): clients poll with the
-last sequence number they saw and get back everything newer, plus a
-``gap`` count when their cursor has fallen off the ring.
+event per transition and serves them through the same
+:class:`~repro.obs.primitives.CursorRing` as ``Telemetry_Poll``
+(PROTOCOLS §1.5): clients poll with the last sequence number they saw
+and get back everything newer, plus a ``gap`` count when their cursor
+has fallen off the ring.
 """
 
 from __future__ import annotations
 
 import threading
 import uuid
-from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -29,6 +29,7 @@ from typing import Any
 from repro.clock import Clock, WALL
 from repro.durability.journal import Journal
 from repro.errors import GatewayError, JobStateError, UnknownJobError
+from repro.obs.primitives import CursorRing
 
 #: Job lifecycle states.
 QUEUED = "queued"
@@ -134,10 +135,10 @@ class JobEvent:
 class JobFeed:
     """Bounded retention ring of :class:`JobEvent`, cursor-polled.
 
-    Same arithmetic as ``TelemetryBus.read_since``: ``gap`` counts the
-    events that fell off retention between the caller's cursor and the
-    oldest event still held — a slow poller learns exactly how much it
-    missed instead of silently losing history.
+    The ring is ``TelemetryBus``'s :class:`~repro.obs.primitives.CursorRing`:
+    ``gap`` counts the events that fell off retention between the
+    caller's cursor and the oldest event still held — a slow poller
+    learns exactly how much it missed instead of silently losing history.
     """
 
     def __init__(self, capacity: int = 1024, clock: Clock | None = None):
@@ -145,22 +146,20 @@ class JobFeed:
             raise GatewayError(f"feed capacity must be >= 1, got {capacity}")
         self._clock = clock or WALL
         self._lock = threading.Lock()
-        self._ring: deque[JobEvent] = deque(maxlen=capacity)
-        self._seq = 0
+        self._ring: CursorRing[JobEvent] = CursorRing(capacity)
 
     def publish(self, name: str, job: Job, **data: Any) -> JobEvent:
         with self._lock:
-            self._seq += 1
-            event = JobEvent(
-                seq=self._seq,
-                timestamp=self._clock.now(),
-                name=name,
-                tenant=job.tenant,
-                job_id=job.job_id,
-                data=data,
+            return self._ring.append(
+                lambda seq: JobEvent(
+                    seq=seq,
+                    timestamp=self._clock.now(),
+                    name=name,
+                    tenant=job.tenant,
+                    job_id=job.job_id,
+                    data=data,
+                )
             )
-            self._ring.append(event)
-            return event
 
     def read_since(
         self,
@@ -177,20 +176,9 @@ class JobFeed:
         """
         cursor = max(0, int(cursor))
         max_events = max(1, int(max_events))
+        keep = None if tenant is None else (lambda e: e.tenant == tenant)
         with self._lock:
-            oldest = self._ring[0].seq if self._ring else self._seq + 1
-            gap = max(0, oldest - cursor - 1)
-            selected: list[JobEvent] = []
-            next_cursor = cursor
-            for event in self._ring:
-                if event.seq <= cursor:
-                    continue
-                if len(selected) >= max_events:
-                    break
-                next_cursor = event.seq
-                if tenant is None or event.tenant == tenant:
-                    selected.append(event)
-            return selected, next_cursor, gap
+            return self._ring.read(cursor, max_events, keep)
 
 
 class JobStore:

@@ -41,7 +41,9 @@ This package is the measurement substrate:
   the bounded :class:`TraceIndex` (schema ``repro-traceidx-1``),
   :func:`critical_path` blame extraction behind ``repro-ice explain``,
   and the tail-based :class:`TraceSampler` whose kept set feeds SLO
-  alert exemplars.
+  alert exemplars;
+- :mod:`repro.obs.primitives` — the :class:`Fanout` callback list and
+  the :class:`CursorRing` behind every cursor poll.
 
 Everything is optional and off by default: components accept
 ``tracer=None`` / ``metrics=None`` and skip all bookkeeping when unset,

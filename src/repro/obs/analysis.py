@@ -1,11 +1,9 @@
 """Trace analytics: per-trace indexing, critical-path blame, tail sampling.
 
-PR 9 left the ops plane entirely *aggregate* — rollups, burn rates and
-scrapes say "something is slow" but can never say "why was **this** job
-slow". This module is the per-request half:
+The per-request half of the ops plane — "why was **this** job slow":
 
 - :class:`TraceIndex` — a bounded in-memory table that assembles the
-  finished spans flowing through a tracer's exporter slot into
+  finished spans reaching it as a tracer sink into
   per-trace trees keyed by ``trace_id`` (schema ``repro-traceidx-1``),
   queryable by op, tenant, duration and error. Both facility halves
   land in one tree: in-process ICEs share the session tracer, and
@@ -24,13 +22,13 @@ slow". This module is the per-request half:
   per-tenant budgeted share (deterministic keep-one-in-N counters, with
   the tenant table folded into ``__overflow__`` under the same
   cardinality-cap rules as :class:`~repro.obs.metrics.MetricsRegistry`).
-  Only *kept* traces are released downstream through the exporter-slot
-  chain the sampler wrapped — dropped traces never reach the JSONL
-  exporter, flight recorder or telemetry bus.
+  Only *kept* traces reach the sampler's own sinks
+  (:meth:`TraceSampler.add_sink`) — whatever is attached there (flight
+  recorder, telemetry bus) never sees a dropped trace.
 
-Everything here is passive and bounded: attach points use the same
-single-exporter-slot chaining convention as the flight recorder, and
-both the index and the sampler evict oldest-first under fixed caps.
+Everything here is passive and bounded: both attach as tracer sinks
+(:meth:`~repro.obs.trace.Tracer.add_sink`), and both the index and the
+sampler evict oldest-first under fixed caps.
 """
 
 from __future__ import annotations
@@ -41,6 +39,7 @@ from typing import Any, Callable, Iterable
 
 from repro.clock import Clock, WALL
 from repro.obs.metrics import OVERFLOW_VALUE, MetricsRegistry
+from repro.obs.primitives import Fanout
 from repro.obs.trace import Span, SpanStatus, Tracer
 
 #: Schema tag stamped on every :meth:`TraceIndex.get` document.
@@ -54,7 +53,7 @@ UNTAGGED = "-"
 INDEX_EVICTED_METRIC = "obs.trace.index_evicted_total"
 
 #: Counter (labelled ``reason=error|slow|breach|budget``) of traces the
-#: sampler kept and released downstream.
+#: sampler kept and released to its sinks.
 SAMPLER_KEPT_METRIC = "obs.trace.sampler_kept_total"
 
 #: Counter (labelled ``reason=budget|overflow``) of traces the sampler
@@ -259,20 +258,9 @@ class TraceIndex:
         self._traces: "OrderedDict[str, dict[str, Any]]" = OrderedDict()
 
     # -- feeding ------------------------------------------------------------
-    def attach(self, tracer: Tracer) -> None:
-        """Chain onto the tracer's single exporter slot (recorder
-        convention: the previous exporter runs first, then the index)."""
-        previous = tracer.exporter
-
-        def chained(span: Span) -> None:
-            if previous is not None:
-                try:
-                    previous(span)
-                except Exception:  # noqa: BLE001 - exporters never break runs
-                    pass
-            self.add_span(span)
-
-        tracer.exporter = chained
+    def attach(self, tracer: Tracer) -> Callable[[], None]:
+        """Index every span ``tracer`` finishes; returns a remove callable."""
+        return tracer.add_sink(self.add_span)
 
     def add_span(self, span: Any) -> None:
         """Index one finished span (a :class:`Span` or its dict form)."""
@@ -439,10 +427,9 @@ class TraceSampler:
     ``kept/seen`` would stay at or under the budget, so keep rates
     converge on the budget without randomness.
 
-    Attach wraps the tracer's exporter slot: everything downstream of
-    the sampler (JSONL exporter, flight recorder, telemetry bus —
-    whatever was chained before :meth:`attach`) sees only kept traces,
-    released in original end order once the verdict lands.
+    :meth:`attach` makes the sampler a tracer sink; consumers added with
+    :meth:`add_sink` (flight recorder, telemetry bus) see only kept
+    traces, released in original end order once the verdict lands.
 
     The tenant counter table is capped at ``max_tenants`` — extra
     tenants fold into the shared ``__overflow__`` budget, mirroring the
@@ -470,7 +457,7 @@ class TraceSampler:
         self.max_buffered = max_buffered
         self.max_tenants = max_tenants
         self._lock = threading.Lock()
-        self._downstream: Callable[[Span], None] | None = None
+        self._sinks = Fanout()
         #: trace_id -> buffered spans, insertion-ordered for eviction
         self._buffer: "OrderedDict[str, list[Any]]" = OrderedDict()
         #: recent verdicts, so stragglers ending after their root follow
@@ -482,11 +469,14 @@ class TraceSampler:
         self._kept_set: set[str] = set()
 
     # -- attachment ---------------------------------------------------------
-    def attach(self, tracer: Tracer) -> None:
-        """Take over the tracer's exporter slot; the previous chain
-        becomes this sampler's downstream for *kept* traces."""
-        self._downstream = tracer.exporter
-        tracer.exporter = self._intake
+    def attach(self, tracer: Tracer) -> Callable[[], None]:
+        """Judge every span ``tracer`` finishes; returns a remove callable."""
+        return tracer.add_sink(self._intake)
+
+    def add_sink(self, sink: Callable[[Any], None]) -> Callable[[], None]:
+        """Call ``sink(span)`` with every span of every *kept* trace;
+        returns a remove callable (the :meth:`Tracer.add_sink` contract)."""
+        return self._sinks.add(sink)
 
     # -- span intake --------------------------------------------------------
     def _intake(self, span: Any) -> None:
@@ -525,12 +515,8 @@ class TraceSampler:
             self.metrics.counter(
                 SAMPLER_DROPPED_METRIC, "traces dropped by the tail sampler"
             ).inc(dropped_overflow, reason="overflow")
-        if release is not None and self._downstream is not None:
-            for item in release:
-                try:
-                    self._downstream(item)
-                except Exception:  # noqa: BLE001 - exporters never break runs
-                    pass
+        for item in release or ():
+            self._sinks(item)
         if kept and reason != "late" and self.metrics is not None:
             self.metrics.counter(
                 SAMPLER_KEPT_METRIC, "traces kept by the tail sampler"

@@ -13,6 +13,8 @@ from __future__ import annotations
 import threading
 from typing import Any, Callable, Iterator
 
+from repro.obs.primitives import Fanout
+
 #: Default latency buckets (seconds). Chosen for the paper's regimes:
 #: sub-ms loopback RPC, ~35 ms ACL<->ORNL WAN RTT, multi-second CV
 #: techniques and file-arrival waits.
@@ -151,8 +153,8 @@ class _Instrument:
         Free when nothing is listening: one attribute read.
         """
         registry = self._registry
-        if registry is not None and registry._listeners:
-            registry._notify_update(self.name, self.kind, labels, value)
+        if registry is not None and registry._listeners.fns:
+            registry._listeners(self.name, self.kind, labels, value)
 
     def _new_state(self) -> Any:  # pragma: no cover - overridden
         raise NotImplementedError
@@ -487,7 +489,7 @@ class MetricsRegistry:
     ):
         self._lock = threading.Lock()
         self._metrics: dict[str, _Instrument] = {}
-        self._listeners: list[UpdateListener] = []
+        self._listeners = Fanout()
         self.max_label_sets = max_label_sets
         self.tenant_labels = tenant_labels
 
@@ -516,26 +518,7 @@ class MetricsRegistry:
         (exceptions are swallowed — observability cannot break the
         operation it observes). Returns an unsubscribe callable.
         """
-        with self._lock:
-            self._listeners.append(listener)
-
-        def unsubscribe() -> None:
-            with self._lock:
-                try:
-                    self._listeners.remove(listener)
-                except ValueError:
-                    pass
-
-        return unsubscribe
-
-    def _notify_update(
-        self, name: str, kind: str, labels: dict[str, Any], value: float
-    ) -> None:
-        for listener in list(self._listeners):
-            try:
-                listener(name, kind, labels, value)
-            except Exception:  # noqa: BLE001 - listeners must never break writes
-                pass
+        return self._listeners.add(listener)
 
     def counter(self, name: str, description: str = "") -> Counter:
         return self._get_or_create(Counter, name, description)

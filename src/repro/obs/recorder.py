@@ -6,20 +6,15 @@ other facility gets exactly one artifact to open: a correlated JSON
 dump of what both ends of the ecosystem saw just before the event.
 
 Each process keeps its own :class:`FlightRecorder` — a set of bounded
-ring buffers holding recent finished spans (chained onto the tracer's
-exporter slot so nothing else changes), recent :class:`EventLog`
+ring buffers holding recent finished spans (a span sink on the tracer,
+or on the tail sampler for kept traces only), recent :class:`EventLog`
 entries (via subscription), and periodic metric snapshots. ``dump()``
 writes one file merging the local half with any remote halves pulled
 over the control channel; spans from both sides share trace ids (the
 ``trace`` REQUEST field propagated them at call time), so the merged
-document groups client and daemon spans under the same trace.
-
-The ISSUE's "exposed ``_recorder_dump`` verb" cannot literally start
-with an underscore — the RPC layer structurally refuses underscore
-names on both ends (see :func:`repro.rpc.expose.is_exposed`). The
-daemon half is therefore served by :class:`FlightRecorderServer`, a
-separately registered exposed object whose public ``Recorder_Dump``
-verb returns the daemon-side snapshot for the client to merge.
+document groups client and daemon spans under the same trace. The
+daemon half is served by :class:`FlightRecorderServer`, whose
+``Recorder_Dump`` verb returns its snapshot for the client to merge.
 
 Dump documents carry ``"schema": "repro-flightrec-1"``; the layout is
 documented in ``docs/OBSERVABILITY.md``.
@@ -37,7 +32,8 @@ from typing import Any, Callable
 from repro.clock import Clock, WALL
 from repro.logging_utils import Event, EventLog
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import Span, Tracer
+from repro.obs.primitives import Fanout
+from repro.obs.trace import Span
 from repro.rpc.expose import expose
 
 #: Schema tag stamped into every dump document.
@@ -84,7 +80,7 @@ class FlightRecorder:
         )
         self._notes: deque[dict[str, Any]] = deque(maxlen=max_events)
         self._registry: MetricsRegistry | None = None
-        self._detach_fns: list[Callable[[], None]] = []
+        self._detach_fns = Fanout()
         self.last_dump: Path | None = None
 
     # -- capture ------------------------------------------------------------
@@ -99,34 +95,26 @@ class FlightRecorder:
 
     def attach_tracer(
         self,
-        tracer: Tracer,
+        source: Any,
         only: Callable[[Span], bool] | None = None,
-    ) -> None:
-        """Chain onto ``tracer.exporter`` so finished spans land here too.
+    ) -> Callable[[], None]:
+        """Record finished spans from ``source``'s sink list.
 
-        The tracer has a single exporter slot; any exporter already
-        installed keeps being called first. ``only`` filters which spans
-        are captured (e.g. the daemon half records only dispatch and
-        instrument spans so the two halves stay disjoint).
+        ``source`` is a :class:`~repro.obs.trace.Tracer`, or a
+        :class:`~repro.obs.analysis.TraceSampler` to record kept traces
+        only. ``only`` filters which spans are captured (e.g. the daemon
+        half records only dispatch and instrument spans so the two
+        halves stay disjoint). Returns a remove callable; :meth:`detach`
+        also removes the sink.
         """
-        previous = tracer.exporter
 
-        def chained(span: Span) -> None:
-            if previous is not None:
-                try:
-                    previous(span)
-                except Exception:  # noqa: BLE001 - match tracer's own tolerance
-                    pass
+        def sink(span: Span) -> None:
             if only is None or only(span):
                 self.record_span(span)
 
-        tracer.exporter = chained
-
-        def detach() -> None:
-            if tracer.exporter is chained:
-                tracer.exporter = previous
-
-        self._detach_fns.append(detach)
+        remove = source.add_sink(sink)
+        self._detach_fns.add(remove)
+        return remove
 
     def attach_event_log(self, log: EventLog) -> None:
         """Subscribe so every emitted event lands in the ring buffer."""
@@ -143,7 +131,7 @@ class FlightRecorder:
                     }
                 )
 
-        self._detach_fns.append(log.subscribe(on_event))
+        self._detach_fns.add(log.subscribe(on_event))
 
     def observe_metrics(self, registry: MetricsRegistry) -> None:
         """Remember the registry so snapshots can read it."""
@@ -171,13 +159,9 @@ class FlightRecorder:
             )
 
     def detach(self) -> None:
-        """Undo every tracer/event-log attachment."""
-        for fn in self._detach_fns:
-            try:
-                fn()
-            except Exception:  # noqa: BLE001
-                pass
-        self._detach_fns.clear()
+        """Undo every span-source/event-log attachment."""
+        detach_fns, self._detach_fns = self._detach_fns, Fanout()
+        detach_fns()
 
     # -- export -------------------------------------------------------------
     def snapshot(self) -> dict[str, Any]:
@@ -310,9 +294,7 @@ class FlightRecorderServer:
     Registered on the control daemon (object id ``"ACL_FlightRecorder"``
     by convention) next to the workstation server, so a client holding
     the control URI can pull the remote half of the black box even when
-    the run itself just failed. This realises the ISSUE's
-    ``_recorder_dump`` verb — spelled ``Recorder_Dump`` because the RPC
-    layer refuses underscore-prefixed method names on principle.
+    the run itself just failed.
     """
 
     OBJECT_ID = "ACL_FlightRecorder"

@@ -40,7 +40,8 @@ from typing import Any, Callable
 from repro.clock import Clock, WALL
 from repro.logging_utils import Event, EventLog
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import Span, Tracer, current_span
+from repro.obs.primitives import CursorRing, Fanout
+from repro.obs.trace import Span, current_span
 from repro.rpc.expose import expose
 
 #: Schema tag stamped into every Telemetry_Poll reply.
@@ -134,6 +135,7 @@ class TelemetrySubscription:
         self._lock = threading.Lock()
         self._dropped = 0
         self._closed = False
+        self._unsubscribe = bus._subscribers.add(self._offer)
 
     @property
     def dropped(self) -> int:
@@ -145,16 +147,20 @@ class TelemetrySubscription:
     def closed(self) -> bool:
         return self._closed
 
-    def _offer(self, event: TelemetryEvent) -> bool:
-        """Bus-side append. Returns True when an old event was evicted."""
+    def _offer(self, event: TelemetryEvent) -> None:
+        """Bus-side append; an evicted event is counted on the bus."""
         with self._lock:
             if self._closed:
-                return False
+                return
             evicting = len(self._ring) == self._ring.maxlen
             if evicting:
                 self._dropped += 1
             self._ring.append(event)
-            return evicting
+        # outside the ring lock: the increment runs registry listeners,
+        # and one of them may be this very bus
+        counter = self._bus._dropped_counter
+        if evicting and counter is not None:
+            counter.inc(half=self._bus.service)
 
     def poll(self, max_events: int | None = None) -> list[TelemetryEvent]:
         """Drain up to ``max_events`` pending events (all, when None)."""
@@ -168,7 +174,7 @@ class TelemetrySubscription:
         with self._lock:
             self._closed = True
             self._ring.clear()
-        self._bus._remove_subscription(self)
+        self._unsubscribe()
 
     def __enter__(self) -> "TelemetrySubscription":
         return self
@@ -184,8 +190,8 @@ class TelemetryBus:
         service: which half this is (``"dgx-session"`` / ``"acl-daemon"``);
             stamped into every event.
         clock: time source for event stamps (share the session's).
-        metrics: optional registry where ``obs.stream.*`` bookkeeping
-            counters live. This is the registry the bus *writes*; what it
+        metrics: optional registry where the ``obs.stream.dropped_total``
+            counter lives. This is the registry the bus *writes*; what it
             *watches* is whatever :meth:`observe_metrics` is given.
         history: size of the global retention ring served to remote
             cursor polls (:meth:`read_since`). Local subscribers have
@@ -209,21 +215,13 @@ class TelemetryBus:
         self.clock = clock or WALL
         self.metrics = metrics
         self._lock = threading.Lock()
-        self._seq = 0
-        self._history: deque[TelemetryEvent] = deque(maxlen=history)
-        self._subscriptions: list[TelemetrySubscription] = []
-        self._detach_fns: list[Callable[[], None]] = []
+        self._history: CursorRing[TelemetryEvent] = CursorRing(history)
+        self._subscribers = Fanout()
+        self._detach_fns = Fanout()
         self._dropped_counter = (
             metrics.counter(
                 "obs.stream.dropped_total",
                 "telemetry events lost to ring overflow",
-            )
-            if metrics is not None
-            else None
-        )
-        self._published_counter = (
-            metrics.counter(
-                "obs.stream.published_total", "telemetry events published"
             )
             if metrics is not None
             else None
@@ -240,97 +238,58 @@ class TelemetryBus:
     ) -> TelemetryEvent:
         """Put one event on the bus; returns it (mostly for tests)."""
         with self._lock:
-            self._seq += 1
-            event = TelemetryEvent(
-                seq=self._seq,
-                timestamp=(
-                    timestamp if timestamp is not None else self.clock.now()
-                ),
-                kind=kind,
-                name=name,
-                service=self.service,
-                trace_id=trace_id,
-                data=data,
+            event = self._history.append(
+                lambda seq: TelemetryEvent(
+                    seq,
+                    self.clock.now() if timestamp is None else timestamp,
+                    kind,
+                    name,
+                    self.service,
+                    trace_id,
+                    data,
+                )
             )
-            self._history.append(event)
-            subscriptions = list(self._subscriptions)
-        drops = sum(1 for sub in subscriptions if sub._offer(event))
-        # counters are touched outside the bus lock: the increment runs
-        # registry listeners, and one of them may be this very bus
-        if self._published_counter is not None:
-            self._published_counter.inc()
-        if drops and self._dropped_counter is not None:
-            self._dropped_counter.inc(drops, half=self.service)
+        self._subscribers(event)
         return event
 
     # -- subscribing --------------------------------------------------------
     def subscribe(self, capacity: int = 256) -> TelemetrySubscription:
         """A new drop-oldest ring fed by every subsequent publish."""
-        sub = TelemetrySubscription(self, capacity)
-        with self._lock:
-            self._subscriptions.append(sub)
-        return sub
-
-    def _remove_subscription(self, sub: TelemetrySubscription) -> None:
-        with self._lock:
-            try:
-                self._subscriptions.remove(sub)
-            except ValueError:
-                pass
+        return TelemetrySubscription(self, capacity)
 
     def read_since(
         self, cursor: int = 0, max_events: int = 256
     ) -> tuple[list[TelemetryEvent], int, int]:
-        """Cursor read over the retention ring (the polling protocol).
-
-        Args:
-            cursor: highest sequence number the caller has already seen
-                (0 on the first poll).
-            max_events: page-size bound.
-
-        Returns:
-            ``(events, next_cursor, gap)`` — events with ``seq > cursor``
-            in order; the cursor to send next time; and how many events
-            the caller permanently missed because they fell off the ring
-            before this poll (0 when none).
+        """Cursor read over the retention ring (the polling protocol):
+        :meth:`~repro.obs.primitives.CursorRing.read`, which returns
+        ``(events, next_cursor, gap)``; ``cursor`` is the highest
+        sequence number the caller has already seen (0 on the first poll).
         """
-        if max_events <= 0:
-            return [], cursor, 0
         with self._lock:
-            if not self._history:
-                return [], max(cursor, self._seq), 0
-            oldest = self._history[0].seq
-            gap = max(0, oldest - cursor - 1) if cursor < oldest else 0
-            events = [e for e in self._history if e.seq > cursor][:max_events]
-        next_cursor = events[-1].seq if events else max(cursor, oldest - 1 + gap)
-        return events, next_cursor, gap
+            return self._history.read(cursor, max_events)
 
     @property
     def latest_seq(self) -> int:
         with self._lock:
-            return self._seq
+            return self._history.seq
 
     # -- producer attachments ----------------------------------------------
     def attach_tracer(
         self,
-        tracer: Tracer,
+        source: Any,
         only: Callable[[Span], bool] | None = None,
-    ) -> None:
+    ) -> Callable[[], None]:
         """Publish every finished span as a ``span`` event.
 
-        Chains onto the tracer's single exporter slot (the flight
-        recorder does the same; whoever attached first keeps being
-        called). ``only`` filters which spans are streamed — the session
-        and daemon halves use it to stay disjoint.
+        ``source`` is a :class:`~repro.obs.trace.Tracer`, or a
+        :class:`~repro.obs.analysis.TraceSampler` to stream kept traces
+        only; the bus becomes one of its sinks. ``only`` filters which
+        spans are streamed — the session and daemon halves use it to
+        stay disjoint. Returns a remove callable; :meth:`detach` also
+        removes the sink.
         """
-        previous = tracer.exporter
 
-        def chained(span: Span) -> None:
-            if previous is not None:
-                try:
-                    previous(span)
-                except Exception:  # noqa: BLE001 - match tracer's tolerance
-                    pass
+        def sink(span: Span) -> None:
             if only is None or only(span):
                 self.publish(
                     KIND_SPAN,
@@ -343,13 +302,9 @@ class TelemetryBus:
                     attributes=dict(span.attributes),
                 )
 
-        tracer.exporter = chained
-
-        def detach() -> None:
-            if tracer.exporter is chained:
-                tracer.exporter = previous
-
-        self._detach_fns.append(detach)
+        remove = source.add_sink(sink)
+        self._detach_fns.add(remove)
+        return remove
 
     def attach_event_log(self, log: EventLog) -> None:
         """Publish every emitted :class:`Event` as an ``event`` event.
@@ -371,13 +326,13 @@ class TelemetryBus:
                 data=dict(event.data),
             )
 
-        self._detach_fns.append(log.subscribe(on_event))
+        self._detach_fns.add(log.subscribe(on_event))
 
     def observe_metrics(self, registry: MetricsRegistry) -> None:
         """Publish every metric write as a ``metric`` event.
 
-        The bus's own ``obs.stream.*`` counters are skipped — they may be
-        incremented *by* a publish, and streaming them back would recurse.
+        The bus's own ``obs.stream.*`` counter is skipped — it may be
+        incremented *by* a publish, and streaming it back would recurse.
         """
 
         def on_update(
@@ -395,16 +350,12 @@ class TelemetryBus:
                 value=value,
             )
 
-        self._detach_fns.append(registry.add_update_listener(on_update))
+        self._detach_fns.add(registry.add_update_listener(on_update))
 
     def detach(self) -> None:
-        """Undo every tracer/event-log/metrics attachment."""
-        for fn in self._detach_fns:
-            try:
-                fn()
-            except Exception:  # noqa: BLE001
-                pass
-        self._detach_fns.clear()
+        """Undo every span-source/event-log/metrics attachment."""
+        detach_fns, self._detach_fns = self._detach_fns, Fanout()
+        detach_fns()
 
 
 @expose

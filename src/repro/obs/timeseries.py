@@ -11,9 +11,9 @@ ever storing raw samples.
 
 Memory is fixed by construction: bounded ring per (series, resolution),
 a bounded export ring of closed base-resolution cells (the scrape feed,
-cursor/gap contract identical to ``TelemetryBus.read_since``), and a cap
-on the number of distinct series. Everything beyond a cap is dropped and
-counted, never buffered.
+a :class:`~repro.obs.primitives.CursorRing` like ``TelemetryBus``'s), and
+a cap on the number of distinct series. Everything beyond a cap is
+dropped and counted, never buffered.
 
 Wire schema for scraped rows: ``repro-tsdb-1`` (PROTOCOLS.md §1.9).
 """
@@ -31,6 +31,7 @@ from repro.obs.metrics import (
     OVERFLOW_VALUE,
     _label_key,
 )
+from repro.obs.primitives import CursorRing
 
 #: Wire schema tag stamped on every scrape reply.
 SCHEMA = "repro-tsdb-1"
@@ -152,8 +153,7 @@ class TimeSeriesStore:
         self._max_series = max_series
         self._lock = threading.Lock()
         self._series: dict[tuple[str, tuple[tuple[str, str], ...]], _Series] = {}
-        self._export: deque[dict[str, Any]] = deque(maxlen=export_capacity)
-        self._export_seq = 0
+        self._export: CursorRing[dict[str, Any]] = CursorRing(export_capacity)
         self._registry: MetricsRegistry | None = None
         self._only: Callable[[str], bool] | None = None
         self._unsubscribe: Callable[[], None] | None = None
@@ -168,13 +168,17 @@ class TimeSeriesStore:
 
         Counter series that already exist are seeded with their current
         cumulative reading so the first post-attach increment rolls up
-        as its true delta, not the lifetime total.
+        as its true delta, not the lifetime total. A store closed and
+        attached to another registry keeps its rings and scrape cursor;
+        only the counter readings restart from the new registry's.
         """
         if self._unsubscribe is not None:
             raise RuntimeError("store is already attached")
         self._registry = registry
         self._only = only
         with self._lock:
+            for series in self._series.values():
+                series.last_raw = 0.0
             for name in registry.names():
                 metric = registry.get(name)
                 if metric is None or metric.kind != "counter":
@@ -283,9 +287,7 @@ class TimeSeriesStore:
         """Retire one cell into its ring (and the scrape feed at base res)."""
         series.rings[res].append(cell)
         if res == self.base_resolution:
-            self._export_seq += 1
             row: dict[str, Any] = {
-                "seq": self._export_seq,
                 "name": series.name,
                 "kind": series.kind,
                 "labels": dict(series.labels),
@@ -299,7 +301,7 @@ class TimeSeriesStore:
             }
             if cell.buckets is not None:
                 row["buckets"] = list(cell.buckets)
-            self._export.append(row)
+            self._export.append(lambda seq: {"seq": seq, **row})
 
     def flush(self, now: float | None = None, force: bool = False) -> int:
         """Close open cells whose window has ended (all of them if forced).
@@ -453,37 +455,22 @@ class TimeSeriesStore:
         max_rows: int = 512,
         flush: bool = True,
     ) -> tuple[list[dict[str, Any]], int, int]:
-        """Cursor read over the export ring (the ``Obs_Scrape`` contract).
+        """Cursor read over the export ring (the ``Obs_Scrape`` contract):
+        :meth:`~repro.obs.primitives.CursorRing.read`, which returns
+        ``(rows, next_cursor, gap)``.
 
-        Same shape as ``TelemetryBus.read_since``: rows with ``seq >
-        cursor`` oldest-first, the cursor to send next time, and how
-        many rows fell off the ring unseen. ``selectors`` filters rows
-        without stalling the cursor (filtered-out rows still advance
-        it): the ``name`` key prefix-matches the metric name, every
-        other key is exact label equality. A scrape force-flushes open
-        cells first so bursts younger than one resolution are visible.
+        ``selectors`` filters rows without stalling the cursor: the
+        ``name`` key prefix-matches the metric name, every other key is
+        exact label equality. A scrape force-flushes open cells first so
+        bursts younger than one resolution are visible.
         """
         if flush:
             self.flush(force=True)
-        if max_rows <= 0:
-            return [], cursor, 0
-        name_sel = selectors.get("name") if selectors else None
+        prefix = (selectors or {}).get("name") or ""
+
+        def keep(row: dict[str, Any]) -> bool:
+            return row["name"].startswith(prefix) and _matches(row["labels"], selectors)
+
         with self._lock:
-            if not self._export:
-                return [], max(cursor, self._export_seq), 0
-            oldest = self._export[0]["seq"]
-            gap = max(0, oldest - cursor - 1) if cursor < oldest else 0
-            rows: list[dict[str, Any]] = []
-            scanned_to = max(cursor, oldest - 1 + gap)
-            for row in self._export:
-                if row["seq"] <= cursor:
-                    continue
-                scanned_to = row["seq"]
-                if name_sel is not None and not row["name"].startswith(name_sel):
-                    continue
-                if not _matches(row["labels"], selectors):
-                    continue
-                rows.append(dict(row))
-                if len(rows) >= max_rows:
-                    break
-        return rows, scanned_to, gap
+            rows, next_cursor, gap = self._export.read(cursor, max_rows, keep)
+        return [dict(row) for row in rows], next_cursor, gap

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterator
 
 from repro.clock import Clock, WALL
+from repro.obs.primitives import Fanout
 
 #: Name of the optional REQUEST-body field that carries trace context
 #: across the control channel (alongside ``idem``).
@@ -223,17 +224,18 @@ class Span:
 
 
 class Tracer:
-    """Produces spans and retains the finished ones.
+    """Produces spans, retains the finished ones and hands each to its
+    sinks.
 
     Args:
         service: label attached to every span (``service`` attribute),
             e.g. ``"dgx"`` or ``"acl-daemon"``; useful when client and
             daemon tracers export to separate files.
         clock: time source for start/end stamps.
-        exporter: optional callable invoked with each finished
-            :class:`Span` (e.g. a :class:`~repro.obs.exporters.JsonlSpanExporter`).
+        exporter: optional first sink (see :meth:`add_sink`), e.g. a
+            :class:`~repro.obs.exporters.JsonlSpanExporter`.
         max_spans: bound on the in-memory finished-span buffer; the
-            oldest spans fall off first (exporters still saw them).
+            oldest spans fall off first (sinks still saw them).
     """
 
     def __init__(
@@ -245,7 +247,9 @@ class Tracer:
     ):
         self.service = service
         self.clock = clock or WALL
-        self.exporter = exporter
+        self._sinks = Fanout()
+        if exporter is not None:
+            self._sinks.add(exporter)
         #: Optional :class:`~repro.obs.profiler.SpanProfiler` sampling
         #: this tracer's span transitions; set via ``profiler.attach()``.
         #: One slot only — overlapping profilers would double-attribute.
@@ -315,15 +319,21 @@ class Tracer:
             return None
         return target.context.to_wire()
 
-    # -- retention ----------------------------------------------------------
+    # -- retention and sinks ------------------------------------------------
+    def add_sink(self, sink: Callable[[Span], None]) -> Callable[[], None]:
+        """Call ``sink(span)`` with every finished span, after the sinks
+        added before it; returns a remove callable.
+
+        Exporters, the flight recorder, the telemetry bus, the trace
+        index and the tail sampler all consume spans this way. A sink
+        that raises is skipped.
+        """
+        return self._sinks.add(sink)
+
     def _on_end(self, span: Span) -> None:
         with self._lock:
             self._spans.append(span)
-        if self.exporter is not None:
-            try:
-                self.exporter(span)
-            except Exception:  # noqa: BLE001 - exporters must never break runs
-                pass
+        self._sinks(span)
 
     def finished_spans(self) -> list[Span]:
         with self._lock:

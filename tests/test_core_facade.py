@@ -11,6 +11,7 @@ from repro.core.config import SessionConfig, TransportConfig
 from repro.core.cv_workflow import CVWorkflowSettings
 from repro.errors import ReproError, WorkflowError
 from repro.obs import MetricsRegistry, Tracer, read_jsonl_spans
+from repro.obs.stream import KIND_SPAN
 
 FAST = CVWorkflowSettings(e_step_v=0.002)
 
@@ -83,6 +84,79 @@ class TestConnect:
             assert len(trace) > 0
             status = session.cell_status()
             assert "volume_ml" in status
+
+
+class TestObservabilityLifecycle:
+    """What a session or an ICE attaches to a tracer, it removes again."""
+
+    @staticmethod
+    def _daemon_half(ice):
+        return len(ice.recorder.snapshot()["spans"]), ice.telemetry_bus.latest_seq
+
+    def test_close_detaches_session_span_consumers(self, ice):
+        tracer = Tracer("caller")
+        sessions = []
+        for _ in range(2):
+            with repro.connect(ice, tracer=tracer) as session:
+                sessions.append(session)
+
+        def consumers():
+            return [
+                (
+                    s.bus.latest_seq,
+                    len(s.trace_index),
+                    len(s.recorder.snapshot()["spans"]),
+                )
+                for s in sessions
+            ]
+
+        before = consumers()
+        for i in range(5):
+            tracer.start_span(f"after.close.{i}", parent=None).end()
+        assert consumers() == before
+
+    def test_reconnect_with_same_tracer_records_daemon_spans_once(self, ice):
+        tracer = Tracer("caller")
+        deltas = []
+        for _ in range(2):
+            with repro.connect(ice, tracer=tracer) as session:
+                spans, seq = self._daemon_half(ice)
+                session.client.call_Cell_Status()
+                now_spans, now_seq = self._daemon_half(ice)
+                deltas.append((now_spans - spans, now_seq - seq))
+        # dispatch + instrument spans; the bus adds one event-log entry
+        assert deltas == [(2, 3), (2, 3)]
+
+    def test_daemon_store_follows_the_live_registry(self, ice):
+        with repro.connect(ice) as first:
+            for _ in range(5):
+                first.client.call_Cell_Status()
+        with repro.connect(ice) as second:
+            _, cursor, _ = ice.obs_store.scrape()
+            for _ in range(5):
+                second.client.call_Cell_Status()
+            rows, _, _ = ice.obs_store.scrape(
+                cursor, selectors={"name": "rpc.daemon.calls_total"}
+            )
+        calls = sum(
+            row["sum"] for row in rows if row["labels"]["method"] == "Cell_Status"
+        )
+        assert calls == 5
+
+    def test_sampler_gates_the_recorder_and_bus_not_the_index(self, ice):
+        with repro.connect(
+            ice, session=SessionConfig(trace_sample_budget=0.0)
+        ) as session:
+            ice_spans, _ = self._daemon_half(ice)
+            with session.bus.subscribe() as sub:
+                session.client.call_Status_JKem()
+                streamed = [e for e in sub.poll() if e.kind == KIND_SPAN]
+            root = session.tracer.find("rpc.call.Status_JKem")[-1]
+            assert not session.sampler.is_kept(root.trace_id)
+            assert streamed == []
+            assert session.recorder.snapshot()["spans"] == []
+            assert session.trace_index.get(root.trace_id) is not None
+            assert self._daemon_half(ice)[0] > ice_spans
 
 
 class TestWorkflowThroughSession:

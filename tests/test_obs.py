@@ -223,12 +223,13 @@ class TestExporters:
     def test_jsonl_roundtrip(self, tmp_path):
         path = tmp_path / "spans.jsonl"
         clock = VirtualClock()
-        tracer = Tracer("svc", clock=clock, exporter=JsonlSpanExporter(path))
+        exporter = JsonlSpanExporter(path)
+        tracer = Tracer("svc", clock=clock, exporter=exporter)
         with tracer.start_as_current_span("outer"):
             s = tracer.start_as_current_span("inner")
             clock.sleep(0.5)
             s.end()
-        tracer.exporter.close()
+        exporter.close()
         rows = read_jsonl_spans(path)
         assert [r["name"] for r in rows] == ["inner", "outer"]
         assert rows[0]["parent_id"] == rows[1]["span_id"]

@@ -173,15 +173,19 @@ class TestTraceIndex:
         clock = VirtualClock()
         return clock, Tracer("svc", clock=clock)
 
-    def test_attach_chains_previous_exporter_first(self):
+    def test_attach_keeps_earlier_sinks_and_detaches_only_itself(self):
         clock, tracer = self._tracer()
         seen = []
-        tracer.exporter = seen.append
+        tracer.add_sink(seen.append)
         index = TraceIndex(clock=clock)
-        index.attach(tracer)
+        detach = index.attach(tracer)
         with tracer.start_as_current_span("op"):
             clock.advance(1.0)
-        assert len(seen) == 1  # the chained exporter still ran
+        assert len(seen) == 1  # the earlier sink still ran
+        assert len(index) == 1
+        detach()
+        tracer.start_span("after", parent=None).end()
+        assert len(seen) == 2
         assert len(index) == 1
 
     def test_get_returns_schema_document(self):
@@ -315,9 +319,9 @@ class TestTraceSampler:
         clock = VirtualClock()
         tracer = Tracer("svc", clock=clock)
         released = []
-        tracer.exporter = released.append
         reg = MetricsRegistry()
         sampler = TraceSampler(metrics=reg, **kwargs)
+        sampler.add_sink(released.append)
         sampler.attach(tracer)
         return clock, tracer, sampler, released, reg
 

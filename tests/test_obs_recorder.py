@@ -40,13 +40,13 @@ class TestCapture:
             "op7", "op8", "op9", "op10", "op11",
         ]
 
-    def test_attach_tracer_chains_and_detaches(self):
+    def test_attach_tracer_adds_a_sink_and_detaches_only_itself(self):
         seen = []
         tracer = Tracer("svc", exporter=seen.append)
         recorder = FlightRecorder("svc")
         recorder.attach_tracer(tracer)
         tracer.start_span("op").end()
-        assert len(seen) == 1  # the pre-existing exporter still fires
+        assert len(seen) == 1  # the earlier sink still fires
         assert len(recorder.snapshot()["spans"]) == 1
         recorder.detach()
         tracer.start_span("after").end()

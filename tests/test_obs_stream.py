@@ -89,20 +89,28 @@ class TestTelemetryBus:
         assert event.data["attributes"]["k"] == "v"
         bus.detach()
 
-    def test_attach_tracer_filter_and_exporter_chain(self):
+    def test_attach_tracer_filter_and_earlier_sink(self):
         clock = VirtualClock()
         bus = TelemetryBus("acl-daemon", clock=clock)
         tracer = Tracer("t", clock=clock)
         exported = []
-        tracer.exporter = exported.append
-        bus.attach_tracer(tracer, only=lambda s: s.name.startswith("keep."))
+        tracer.add_sink(exported.append)
+        detach = bus.attach_tracer(
+            tracer, only=lambda s: s.name.startswith("keep.")
+        )
         with bus.subscribe() as sub:
             tracer.start_as_current_span("keep.this").end()
             tracer.start_as_current_span("drop.this").end()
             names = [e.name for e in sub.poll()]
+            # detaching removes the bus's sink, not the earlier one
+            detach()
+            tracer.start_as_current_span("keep.after").end()
+            assert sub.poll() == []
         assert names == ["keep.this"]
-        # the pre-existing exporter still sees everything (chained)
-        assert [s.name for s in exported] == ["keep.this", "drop.this"]
+        # the earlier sink still sees everything
+        assert [s.name for s in exported] == [
+            "keep.this", "drop.this", "keep.after",
+        ]
 
     def test_metric_updates_flow_without_feedback_loop(self):
         metrics = MetricsRegistry()

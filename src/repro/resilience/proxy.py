@@ -31,22 +31,7 @@ from typing import Any, Callable
 from repro.clock import Clock, WALL
 from repro.logging_utils import EventLog
 from repro.resilience.policy import CircuitBreaker, RetryPolicy
-from repro.rpc.proxy import Proxy
-
-
-class _ResilientMethod:
-    """Callable bound to one remote method name, retried on failure."""
-
-    def __init__(self, proxy: "ResilientProxy", name: str):
-        self._proxy = proxy
-        self._name = name
-
-    def __call__(self, *args: Any, **kwargs: Any) -> Any:
-        return self._proxy._call(self._name, args, kwargs)
-
-    def oneway(self, *args: Any, **kwargs: Any) -> None:
-        """Fire-and-forget variant; still retried until the send succeeds."""
-        self._proxy._call(self._name, args, kwargs, oneway=True)
+from repro.rpc.proxy import Proxy, _RemoteMethod
 
 
 class ResilientProxy:
@@ -230,7 +215,9 @@ class ResilientProxy:
     def _pyro_metadata(self) -> dict[str, Any]:
         return self._run_with_retry("_pyro_metadata", self._proxy._pyro_metadata)
 
-    def __getattr__(self, name: str) -> _ResilientMethod:
+    def __getattr__(self, name: str) -> _RemoteMethod:
+        # the bound method calls back into self._call, so ``.oneway`` sends
+        # are retried until the send succeeds, like plain calls
         if name.startswith("_"):
             raise AttributeError(name)
-        return _ResilientMethod(self, name)
+        return _RemoteMethod(self, name)

@@ -553,12 +553,8 @@ class Daemon:
         if self._secret is None:
             client.data["stage"] = "ready"
             return
-        import os
-
-        nonce = os.urandom(32)
         client.data["stage"] = "auth"
-        client.data["nonce"] = nonce
-        client.reply(Message(MessageType.CHALLENGE, 0, {"nonce": nonce.hex()}))
+        client.data["nonce"] = self._challenge(client)
 
     def _reactor_frame(self, client: ReactorClient, msg: Message) -> None:
         if msg.version > self._max_wire_version:
@@ -625,12 +621,28 @@ class Daemon:
                 pending.clear()
 
     def _check_auth(self, client: ReactorClient, msg: Message) -> None:
+        if self._verify_auth(client, client.data.get("nonce", b""), msg):
+            client.data["stage"] = "ready"
+        else:
+            client.close_after_flush()
+
+    # -- challenge-response (both serving cores) -------------------------------
+    def _challenge(self, client: Any) -> bytes:
+        """Send a fresh CHALLENGE; returns its nonce."""
+        import os
+
+        nonce = os.urandom(32)
+        client.reply(Message(MessageType.CHALLENGE, 0, {"nonce": nonce.hex()}))
+        return nonce
+
+    def _verify_auth(self, client: Any, nonce: bytes, msg: Message) -> bool:
+        """Check the peer's AUTH frame against ``nonce`` and answer it:
+        ``{"auth": "ok"}`` when the HMAC matches, ERROR otherwise."""
         import hashlib
         import hmac
 
         from repro.errors import AuthenticationError
 
-        nonce = client.data.get("nonce", b"")
         expected = hmac.new(self._secret or b"", nonce, hashlib.sha256).hexdigest()
         provided = msg.body.get("hmac") if isinstance(msg.body, dict) else None
         if (
@@ -642,42 +654,19 @@ class Daemon:
             self._try_reply_error(
                 client, msg.seq, AuthenticationError("bad or missing credentials")
             )
-            client.close_after_flush()
-            return
-        client.data["stage"] = "ready"
+            return False
         client.reply(Message(MessageType.RESPONSE, msg.seq, {"auth": "ok"}))
+        return True
 
     # -- threaded serving (sim network / delayed loopback) ---------------------
     def _authenticate(self, client: _ThreadedClient) -> bool:
         """Run the challenge-response; True when the peer may proceed."""
-        import hashlib
-        import hmac
-        import os
-
-        from repro.errors import AuthenticationError
-
-        nonce = os.urandom(32)
-        client.reply(Message(MessageType.CHALLENGE, 0, {"nonce": nonce.hex()}))
+        nonce = self._challenge(client)
         try:
-            reply = recv_message(client.conn)
+            msg = recv_message(client.conn)
         except (ConnectionClosedError, ProtocolError, SerializationError):
             return False
-        expected = hmac.new(self._secret or b"", nonce, hashlib.sha256).hexdigest()
-        provided = (
-            reply.body.get("hmac") if isinstance(reply.body, dict) else None
-        )
-        if (
-            reply.msg_type is not MessageType.AUTH
-            or not isinstance(provided, str)
-            or not hmac.compare_digest(provided, expected)
-        ):
-            self.log.emit("daemon", "auth", f"authentication failed for {client.peer}")
-            self._try_reply_error(
-                client, reply.seq, AuthenticationError("bad or missing credentials")
-            )
-            return False
-        client.reply(Message(MessageType.RESPONSE, reply.seq, {"auth": "ok"}))
-        return True
+        return self._verify_auth(client, nonce, msg)
 
     def _serve_connection(self, conn: Connection) -> None:
         client = _ThreadedClient(conn)

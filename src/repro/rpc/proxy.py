@@ -6,20 +6,21 @@ attribute calls::
     with Proxy("PYRO:ACL_Workstation@10.2.11.161:9690") as ws:
         ws.call_Initialize_SP200_API(params)
 
-One proxy holds one connection; by default calls on it are serialised by
-a lock (same contract as Pyro4 — share across threads or clone per
+One proxy holds one connection; by default one call at a time is on the
+wire (same contract as Pyro4 — share across threads or clone per
 thread). Remote exceptions re-raise locally: known :mod:`repro.errors`
 classes keep their type, anything else becomes
 :class:`RemoteInvocationError` carrying the remote traceback.
 
-Pipelining (``docs/PROTOCOLS.md`` §1.4): a proxy built with
-``max_inflight > 1`` allows that many REQUEST frames on the wire at once,
-demultiplexing replies by sequence id through a shared waiter map — N
-calls cost one round trip plus N executions instead of N round trips.
-Threads sharing the proxy overlap automatically; a single thread can
-burst explicitly through :meth:`Proxy.pipeline`. Callers that want truly
-independent connections instead of a multiplexed one use
-:class:`ProxyPool`.
+Every frame takes one exchange path (``docs/PROTOCOLS.md`` §1.4): it
+claims a slot of the in-flight window, registers in a waiter map keyed
+by sequence id, and its reply is collected by whichever waiting thread
+is reading. The default window of 1 is lockstep. A proxy built with
+``max_inflight > 1`` pipelines: N calls cost one round trip plus N
+executions instead of N round trips. Threads sharing the proxy overlap
+automatically; a single thread can burst explicitly through
+:meth:`Proxy.pipeline`. Callers that want truly independent connections
+instead of a multiplexed one use :class:`ProxyPool`.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ import copy
 import itertools
 import threading
 import uuid
-from dataclasses import replace as _dc_replace
 from typing import Any, Callable
 
 import repro.errors as _errors_module
@@ -108,9 +108,10 @@ class _PendingSlot:
 
 
 class _RemoteMethod:
-    """Callable bound to one remote method name."""
+    """Callable bound to one remote method name of a proxy (a bare
+    :class:`Proxy` or a ``ResilientProxy`` — anything with ``_call``)."""
 
-    def __init__(self, proxy: "Proxy", name: str):
+    def __init__(self, proxy: Any, name: str):
         self._proxy = proxy
         self._name = name
 
@@ -138,7 +139,12 @@ class Proxy:
             dispatch span parents under it. None = zero overhead.
         metrics: optional :class:`repro.obs.MetricsRegistry` receiving
             per-call counters, latency histograms, byte counts and the
-            ``rpc.client.inflight`` gauge.
+            ``rpc.client.inflight`` gauge. ``rpc.client.call_latency_s``
+            is recorded only when ``tracer`` is also set, because it
+            reads the tracer's clock. The byte counters count only on
+            transports that count bytes (the simulated network and the
+            delayed loopback; plain TCP counts none), and include ONEWAY
+            frames at every window.
         max_inflight: in-flight REQUEST window. 1 (default) keeps the
             classic one-call-at-a-time semantics; above 1 the proxy
             pipelines — concurrent threads overlap their round trips on
@@ -196,9 +202,10 @@ class Proxy:
         # the tenant bound on the calling context (if any), so daemon-
         # side metrics stay attributed across the wire
         self.tenant: str | None = tenant
-        # pipelining state: a waiter map keyed by sequence id plus a
-        # "become the reader" condition — at most one thread blocks in
-        # recv at a time, depositing replies for everyone else
+        # exchange state, for every frame at every window: a waiter map
+        # keyed by sequence id plus a "become the reader" condition — at
+        # most one thread blocks in recv at a time, depositing replies for
+        # everyone else
         self._max_inflight = int(max_inflight)
         self._send_lock = threading.Lock()
         self._demux = threading.Condition(threading.Lock())
@@ -318,7 +325,10 @@ class Proxy:
         return self.tenant if self.tenant is not None else current_tenant()
 
     def close(self) -> None:
-        """Drop the connection; the proxy reconnects lazily if reused."""
+        """Drop the connection; the proxy reconnects lazily if reused.
+
+        Calls in flight on the connection fail with their transport error.
+        """
         with self._lock:
             if self._conn is not None:
                 self._conn.close()
@@ -342,46 +352,6 @@ class Proxy:
         self._seq = (self._seq + 1) & 0xFFFFFFFF
         return self._seq
 
-    def _roundtrip(
-        self, msg: Message, byte_window: list[tuple[int, int]] | None = None
-    ) -> Message:
-        """Send one frame and read its correlated reply (serial mode).
-
-        ``byte_window``, when given, receives one ``(sent, received)``
-        delta captured here — inside the locked exchange — so concurrent
-        callers can never misattribute each other's bytes.
-        """
-        conn = self._ensure_connected()
-        if msg.version != self.wire_version:
-            msg = _dc_replace(msg, version=self.wire_version)
-        track = byte_window is not None and hasattr(conn, "bytes_sent")
-        sent0 = conn.bytes_sent if track else 0
-        recv0 = getattr(conn, "bytes_received", 0) if track else 0
-        try:
-            send_message(conn, msg)
-            if msg.oneway:
-                if track:
-                    byte_window.append((conn.bytes_sent - sent0, 0))
-                return msg
-            reply = recv_message(conn)
-        except (CommunicationError, ProtocolError):
-            # connection state is undefined after a failed exchange
-            self.close()
-            raise
-        except _errors_module.ConnectionClosedError:
-            self.close()
-            raise
-        if reply.seq != msg.seq:
-            self.close()
-            raise ProtocolError(
-                f"reply sequence {reply.seq} does not match request {msg.seq}"
-            )
-        if track:
-            byte_window.append(
-                (conn.bytes_sent - sent0, conn.bytes_received - recv0)
-            )
-        return reply
-
     @staticmethod
     def _process_reply(reply: Message) -> Any:
         """Unpack a REQUEST's reply frame into a return value or raise."""
@@ -401,136 +371,81 @@ class Proxy:
         oneway: bool = False,
         idempotency_key: str | None = None,
     ) -> Any:
-        if self.tracer is None and self.metrics is None:
-            return self._call_inner(method, args, kwargs, oneway, idempotency_key)
-        return self._call_observed(method, args, kwargs, oneway, idempotency_key)
+        return self._start_call(
+            method, args, kwargs, oneway=oneway, idempotency_key=idempotency_key
+        ).result()
 
-    def _call_inner(
+    def _start_call(
         self,
         method: str,
         args: tuple,
         kwargs: dict,
-        oneway: bool,
-        idempotency_key: str | None,
-        trace_context: dict[str, str] | None = None,
-        byte_window: list[tuple[int, int]] | None = None,
-    ) -> Any:
-        body = request_body(
-            self._uri.object_id,
-            method,
-            args,
-            kwargs,
-            idempotency_key=idempotency_key,
-            trace_context=trace_context,
-            lease=self.lease,
-            tenant=self._effective_tenant(),
-        )
-        flags = FLAG_ONEWAY if oneway else 0
-        if self._max_inflight > 1:
-            reply = self._exchange_pipelined(
-                MessageType.REQUEST, body, flags, byte_window
-            )
-            if oneway:
-                return None
-            return self._process_reply(reply)
-        with self._lock:
-            msg = Message(MessageType.REQUEST, self._next_seq(), body, flags=flags)
-            reply = self._roundtrip(msg, byte_window)
-            if oneway:
-                return None
-        return self._process_reply(reply)
+        *,
+        oneway: bool = False,
+        idempotency_key: str | None = None,
+        pipelined: bool = False,
+    ) -> "PendingReply":
+        """Send one REQUEST; its reply is taken from the returned handle.
 
-    def _call_observed(
-        self,
-        method: str,
-        args: tuple,
-        kwargs: dict,
-        oneway: bool,
-        idempotency_key: str | None,
-    ) -> Any:
-        """Traced/metered variant of :meth:`_call_inner` (observability on)."""
-        tracer, metrics = self.tracer, self.metrics
-        span = (
-            tracer.start_as_current_span(
-                f"rpc.call.{method}",
-                attributes={"rpc.method": method, "rpc.object": self._uri.object_id},
-            )
-            if tracer is not None
-            else None
-        )
-        exemplar = span.trace_id if span is not None else None
-        if span is not None:
-            # stamp the tenant on the span so the trace index and tail
-            # sampler can attribute the whole trace to its owner
-            span_tenant = self._effective_tenant()
-            if span_tenant is not None:
-                span.set_attribute("tenant", span_tenant)
-        trace_context = span.context.to_wire() if span is not None else None
-        clock = tracer.clock if tracer is not None else None
-        start = clock.now() if clock is not None else None
-        byte_window: list[tuple[int, int]] | None = (
-            [] if metrics is not None else None
-        )
-        status = "ok"
-        # the pipelined path maintains the inflight gauge at the frame
-        # level (deposits decrement it); serial mode tracks it here
-        serial_gauge = metrics is not None and self._max_inflight == 1
-        if serial_gauge:
-            self._inflight_gauge().inc()
+        A plain call's ``rpc.call.<method>`` span is current until its
+        reply is taken; a burst call's span is not (the burst keeps
+        sending under the caller's span) and carries ``rpc.pipelined``.
+        A ONEWAY call resolves as soon as its frame is sent.
+        """
+        tracer = self.tracer
+        tenant = self._effective_tenant()
+        span = start = trace_context = None
+        if tracer is not None:
+            attributes = {"rpc.method": method, "rpc.object": self._uri.object_id}
+            if pipelined:
+                attributes["rpc.pipelined"] = True
+                span = tracer.start_span(f"rpc.call.{method}", attributes=attributes)
+            else:
+                span = tracer.start_as_current_span(
+                    f"rpc.call.{method}", attributes=attributes
+                )
+            if tenant is not None:
+                # stamp the tenant on the span so the trace index and tail
+                # sampler can attribute the whole trace to its owner
+                span.set_attribute("tenant", tenant)
+            trace_context = span.context.to_wire()
+            start = tracer.clock.now()
+        pending = PendingReply(self, None, _PendingSlot(), method, span, start)
         try:
-            return self._call_inner(
+            body = request_body(
+                self._uri.object_id,
                 method,
                 args,
                 kwargs,
-                oneway,
-                idempotency_key,
-                trace_context,
-                byte_window,
+                idempotency_key=idempotency_key,
+                trace_context=trace_context,
+                lease=self.lease,
+                tenant=tenant,
+            )
+            pending._conn, pending._slot = self._submit(
+                MessageType.REQUEST, body, FLAG_ONEWAY if oneway else 0
             )
         except Exception as exc:
-            status = "error"
-            if span is not None:
-                span.record_exception(exc)
-                span.end("ERROR")
-                span = None
+            pending._settle(exc)
             raise
-        finally:
-            if serial_gauge:
-                self._inflight_gauge().dec()
-            if metrics is not None:
-                metrics.counter(
-                    "rpc.client.calls_total", "RPC calls issued by this client"
-                ).inc(method=method, status=status)
-                if start is not None:
-                    metrics.histogram(
-                        "rpc.client.call_latency_s", "client-observed RPC latency"
-                    ).observe(clock.now() - start, exemplar=exemplar, method=method)
-                if byte_window:
-                    sent, received = byte_window[0]
-                    if sent > 0:
-                        metrics.counter(
-                            "rpc.client.bytes_sent_total", "request bytes on the wire"
-                        ).inc(sent, method=method)
-                    if received > 0:
-                        metrics.counter(
-                            "rpc.client.bytes_received_total",
-                            "response bytes on the wire",
-                        ).inc(received, method=method)
-            if span is not None:
-                span.end()
+        if oneway:
+            pending._settle(None)
+        return pending
 
     def _inflight_gauge(self):
         return self.metrics.gauge(
-            "rpc.client.inflight", "REQUEST frames awaiting their reply"
+            "rpc.client.inflight", "frames awaiting their reply"
         )
 
-    # -- pipelined exchange --------------------------------------------------
-    def _claim_window(self) -> bool:
-        """Try to take one in-flight window slot (demux lock held)."""
+    # -- exchange: one window-bounded waiter map for every frame ---------------
+    def _claim_window(self, seq: int, slot: _PendingSlot) -> bool:
+        """Try to take one in-flight window slot and register ``slot`` as
+        the waiter for ``seq`` (demux lock held)."""
         if self._inflight_frames < self._max_inflight:
             self._inflight_frames += 1
             if self.metrics is not None:
                 self._inflight_gauge().inc()
+            self._pending[seq] = slot
             return True
         return False
 
@@ -551,8 +466,8 @@ class Proxy:
         state atomically (the window claim does). At most one thread sits
         in ``recv`` at a time; it deposits each reply into the waiter map
         by sequence id and wakes everyone. Any transport or framing error
-        fails every in-flight call and drops the connection — the same
-        "state undefined after a failed exchange" rule as serial mode.
+        fails every in-flight call and drops the connection: the state of
+        the stream is undefined after a failed exchange.
         """
         cond = self._demux
         cond.acquire()
@@ -601,11 +516,14 @@ class Proxy:
         finally:
             cond.release()
 
-    def _pipeline_submit(
+    def _submit(
         self, msg_type: MessageType, body: Any, flags: int = 0
-    ) -> tuple[Connection, int, _PendingSlot | None]:
-        """Claim a window slot, register the waiter, and send one frame."""
-        oneway = bool(flags & FLAG_ONEWAY)
+    ) -> tuple[Connection, _PendingSlot]:
+        """Claim a window slot, register the waiter, and send one frame.
+
+        A ONEWAY frame expects no reply, so it takes neither a window
+        slot nor a waiter-map entry; its slot only carries its byte count.
+        """
         with self._lock:
             conn = self._ensure_connected()
             seq = self._next_seq()
@@ -614,51 +532,36 @@ class Proxy:
         payload = encode_message(
             Message(msg_type, seq, body, flags=flags, version=self.wire_version)
         )
-        slot: _PendingSlot | None = None
-        if not oneway:
+        slot = _PendingSlot()
+        if not flags & FLAG_ONEWAY:
             # claiming may have to drain replies first — that is the
             # backpressure that bounds the window without a second thread
-            self._pump(conn, self._claim_window)
-            slot = _PendingSlot()
-            with self._demux:
-                self._pending[seq] = slot
+            self._pump(conn, lambda: self._claim_window(seq, slot))
         try:
             with self._send_lock:
                 track = hasattr(conn, "bytes_sent")
                 sent0 = conn.bytes_sent if track else 0
                 conn.sendall(payload)
-                if slot is not None and track:
+                if track:
                     slot.bytes_sent = conn.bytes_sent - sent0
         except Exception as exc:  # noqa: BLE001 - a half-sent frame kills
-            # the stream: every in-flight call fails, same rule as serial
+            # the stream: every in-flight call fails
             with self._demux:
                 self._fail_pending_locked(exc)
                 self._demux.notify_all()
             self.close()
             raise
-        return conn, seq, slot
+        return conn, slot
 
-    def _pipeline_await(self, conn: Connection, slot: _PendingSlot) -> Message:
+    def _await_reply(self, conn: Connection, slot: _PendingSlot) -> Message:
         self._pump(conn, lambda: slot.resolved)
         if slot.error is not None:
             raise slot.error
         return slot.reply
 
-    def _exchange_pipelined(
-        self,
-        msg_type: MessageType,
-        body: Any,
-        flags: int = 0,
-        byte_window: list[tuple[int, int]] | None = None,
-    ) -> Message | None:
-        """One frame through the demux machinery; None for oneway sends."""
-        conn, _seq, slot = self._pipeline_submit(msg_type, body, flags)
-        if slot is None:
-            return None
-        reply = self._pipeline_await(conn, slot)
-        if byte_window is not None and slot.bytes_sent is not None:
-            byte_window.append((slot.bytes_sent, slot.bytes_received or 0))
-        return reply
+    def _exchange(self, msg_type: MessageType, body: Any) -> Message:
+        """One control frame (PING, METADATA) and its reply."""
+        return self._await_reply(*self._submit(msg_type, body))
 
     def call(self, method: str, *args: Any, **kwargs: Any) -> Any:
         """Invoke a remote method by name: ``proxy.call("Start", ch=1)``.
@@ -690,13 +593,7 @@ class Proxy:
         Named with the underscore prefix (Pyro4's ``_pyroBind`` convention)
         so it can never shadow a remote method called ``ping``.
         """
-        if self._max_inflight > 1:
-            reply = self._exchange_pipelined(MessageType.PING, None)
-        else:
-            with self._lock:
-                reply = self._roundtrip(
-                    Message(MessageType.PING, self._next_seq(), None)
-                )
+        reply = self._exchange(MessageType.PING, None)
         if reply.msg_type != MessageType.PONG:
             raise ProtocolError(f"expected PONG, got {reply.msg_type}")
 
@@ -706,32 +603,18 @@ class Proxy:
         Returns a copy: mutating the result must not poison the cache
         for later callers.
         """
-        if self._max_inflight > 1:
-            with self._lock:
-                cached = self._metadata
-            if cached is None:
-                reply = self._exchange_pipelined(
-                    MessageType.METADATA, {"object": self._uri.object_id}
-                )
-                if reply.msg_type == MessageType.ERROR:
-                    raise _rebuild_remote_error(reply.body)
-                cached = reply.body
-                with self._lock:
-                    self._metadata = cached
-            return copy.deepcopy(cached)
         with self._lock:
-            if self._metadata is None:
-                reply = self._roundtrip(
-                    Message(
-                        MessageType.METADATA,
-                        self._next_seq(),
-                        {"object": self._uri.object_id},
-                    )
-                )
-                if reply.msg_type == MessageType.ERROR:
-                    raise _rebuild_remote_error(reply.body)
-                self._metadata = reply.body
-            return copy.deepcopy(self._metadata)
+            cached = self._metadata
+        if cached is None:
+            reply = self._exchange(
+                MessageType.METADATA, {"object": self._uri.object_id}
+            )
+            if reply.msg_type == MessageType.ERROR:
+                raise _rebuild_remote_error(reply.body)
+            cached = reply.body
+            with self._lock:
+                self._metadata = cached
+        return copy.deepcopy(cached)
 
     def __getattr__(self, name: str) -> _RemoteMethod:
         if name.startswith("_"):
@@ -740,7 +623,7 @@ class Proxy:
 
 
 class PendingReply:
-    """Handle to one in-flight pipelined call.
+    """Handle to one in-flight call.
 
     :meth:`result` blocks until the correlated reply arrives (driving the
     shared reader if nobody else is) and returns the remote value or
@@ -754,7 +637,6 @@ class PendingReply:
         "_slot",
         "_method",
         "_span",
-        "_trace_id",
         "_start",
         "_resolved",
         "_value",
@@ -775,9 +657,6 @@ class PendingReply:
         self._slot = slot
         self._method = method
         self._span = span
-        # the span is released on end; keep its trace id for the
-        # latency exemplar recorded after that
-        self._trace_id = span.trace_id if span is not None else None
         self._start = start
         self._resolved = False
         self._value: Any = None
@@ -792,51 +671,52 @@ class PendingReply:
         """The remote return value; raises what the call raised."""
         if not self._resolved:
             proxy = self._proxy
-            status = "ok"
             try:
-                reply = proxy._pipeline_await(self._conn, self._slot)
-                self._value = proxy._process_reply(reply)
+                self._value = proxy._process_reply(
+                    proxy._await_reply(self._conn, self._slot)
+                )
             except Exception as exc:
-                self._error = exc
-                status = "error"
-                if self._span is not None:
-                    self._span.record_exception(exc)
-            finally:
-                self._resolved = True
-                if self._span is not None:
-                    self._span.end("ERROR" if status == "error" else None)
-                    self._span = None
-                self._record_metrics(status)
+                self._settle(exc)
+            else:
+                self._settle(None)
         if self._error is not None:
             raise self._error
         return self._value
 
-    def _record_metrics(self, status: str) -> None:
-        proxy = self._proxy
+    def _settle(self, error: Exception | None) -> None:
+        """Resolve the call: write its ``rpc.client.*`` metrics, end its span."""
+        self._resolved = True
+        self._error = error
+        proxy, method, span, slot = self._proxy, self._method, self._span, self._slot
         metrics = proxy.metrics
-        if metrics is None:
-            return
-        method = self._method
-        metrics.counter(
-            "rpc.client.calls_total", "RPC calls issued by this client"
-        ).inc(method=method, status=status)
-        if self._start is not None and proxy.tracer is not None:
-            metrics.histogram(
-                "rpc.client.call_latency_s", "client-observed RPC latency"
-            ).observe(
-                proxy.tracer.clock.now() - self._start,
-                exemplar=self._trace_id,
-                method=method,
-            )
-        slot = self._slot
-        if slot.bytes_sent:
+        if metrics is not None:
             metrics.counter(
-                "rpc.client.bytes_sent_total", "request bytes on the wire"
-            ).inc(slot.bytes_sent, method=method)
-        if slot.bytes_received:
-            metrics.counter(
-                "rpc.client.bytes_received_total", "response bytes on the wire"
-            ).inc(slot.bytes_received, method=method)
+                "rpc.client.calls_total", "RPC calls issued by this client"
+            ).inc(method=method, status="ok" if error is None else "error")
+            if span is not None:
+                # on the clock ``_start`` was read on: the span's tracer's
+                metrics.histogram(
+                    "rpc.client.call_latency_s", "client-observed RPC latency"
+                ).observe(
+                    span.tracer.clock.now() - self._start,
+                    exemplar=span.trace_id,
+                    method=method,
+                )
+            if slot.bytes_sent:
+                metrics.counter(
+                    "rpc.client.bytes_sent_total", "request bytes on the wire"
+                ).inc(slot.bytes_sent, method=method)
+            if slot.bytes_received:
+                metrics.counter(
+                    "rpc.client.bytes_received_total", "response bytes on the wire"
+                ).inc(slot.bytes_received, method=method)
+        if span is not None:
+            self._span = None
+            if error is None:
+                span.end()
+            else:
+                span.record_exception(error)
+                span.end("ERROR")
 
 
 class Pipeline:
@@ -876,50 +756,12 @@ class Pipeline:
         **kwargs: Any,
     ) -> PendingReply:
         """Send one call; the reply is collected via the returned handle."""
-        proxy = self._proxy
         key = _idempotency_key
         if key is None and self._idempotent:
             key = f"{self._key_prefix}:{next(self._key_seq)}"
-        tracer = proxy.tracer
-        span = None
-        start = None
-        trace_context = None
-        if tracer is not None:
-            span = tracer.start_span(
-                f"rpc.call.{method}",
-                attributes={
-                    "rpc.method": method,
-                    "rpc.object": proxy._uri.object_id,
-                    "rpc.pipelined": True,
-                },
-            )
-            span_tenant = proxy._effective_tenant()
-            if span_tenant is not None:
-                span.set_attribute("tenant", span_tenant)
-            trace_context = span.context.to_wire()
-            start = tracer.clock.now()
-        body = request_body(
-            proxy._uri.object_id,
-            method,
-            args,
-            kwargs,
-            idempotency_key=key,
-            trace_context=trace_context,
-            lease=proxy.lease,
-            tenant=proxy._effective_tenant(),
+        pending = self._proxy._start_call(
+            method, args, kwargs, idempotency_key=key, pipelined=True
         )
-        try:
-            conn, _seq, slot = proxy._pipeline_submit(MessageType.REQUEST, body)
-        except Exception as exc:
-            if span is not None:
-                span.record_exception(exc)
-                span.end("ERROR")
-            if proxy.metrics is not None:
-                proxy.metrics.counter(
-                    "rpc.client.calls_total", "RPC calls issued by this client"
-                ).inc(method=method, status="error")
-            raise
-        pending = PendingReply(proxy, conn, slot, method, span=span, start=start)
         self._issued.append(pending)
         return pending
 

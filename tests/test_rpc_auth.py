@@ -1,10 +1,13 @@
 """HMAC challenge-response authentication on the control channel."""
 
+import functools
+
 import pytest
 
 from repro.errors import AuthenticationError, ReproError
 from repro.facility.client import ACLPyroClient
 from repro.facility.ice import ElectrochemistryICE, ICEConfig
+from repro.net.delay import delayed_loopback
 from repro.rpc import Daemon, Proxy, expose
 
 
@@ -14,31 +17,38 @@ class Service:
         return "hi"
 
 
-@pytest.fixture
-def secured():
-    daemon = Daemon(secret=b"lab-secret")
+@pytest.fixture(params=["reactor", "threaded"])
+def secured(request):
+    """A secret-protected daemon on each serving core — the reactor behind
+    TCP, the threaded core behind a delayed loopback — and a ``Proxy``
+    factory that dials it."""
+    listener, factory = (
+        delayed_loopback(0.0) if request.param == "threaded" else (None, None)
+    )
+    daemon = Daemon(secret=b"lab-secret", listener=listener)
+    assert daemon.serving_mode == request.param
     uri = daemon.register(Service(), object_id="S")
     daemon.start_background()
-    yield uri, daemon
+    yield functools.partial(Proxy, uri, connection_factory=factory), daemon
     daemon.shutdown()
 
 
 class TestHandshake:
     def test_correct_secret_serves(self, secured):
-        uri, _ = secured
-        with Proxy(uri, secret=b"lab-secret") as proxy:
+        connect, _ = secured
+        with connect(secret=b"lab-secret") as proxy:
             assert proxy.hello() == "hi"
             assert proxy.hello() == "hi"  # handshake happens once
 
     def test_wrong_secret_rejected(self, secured):
-        uri, _ = secured
-        with Proxy(uri, secret=b"wrong", timeout=2.0) as proxy:
+        connect, _ = secured
+        with connect(secret=b"wrong", timeout=2.0) as proxy:
             with pytest.raises((AuthenticationError, ReproError)):
                 proxy.hello()
 
     def test_missing_secret_rejected(self, secured):
-        uri, _ = secured
-        with Proxy(uri, timeout=2.0) as proxy:
+        connect, _ = secured
+        with connect(timeout=2.0) as proxy:
             with pytest.raises(Exception):
                 proxy.hello()
 
@@ -54,16 +64,16 @@ class TestHandshake:
             daemon.shutdown()
 
     def test_reconnect_reauthenticates(self, secured):
-        uri, _ = secured
-        proxy = Proxy(uri, secret=b"lab-secret")
+        connect, _ = secured
+        proxy = connect(secret=b"lab-secret")
         assert proxy.hello() == "hi"
         proxy.close()
         assert proxy.hello() == "hi"
         proxy.close()
 
     def test_failed_auth_logged(self, secured):
-        uri, daemon = secured
-        with Proxy(uri, secret=b"wrong", timeout=2.0) as proxy:
+        connect, daemon = secured
+        with connect(secret=b"wrong", timeout=2.0) as proxy:
             with pytest.raises(Exception):
                 proxy.hello()
         assert any("authentication failed" in m for m in daemon.log.messages())

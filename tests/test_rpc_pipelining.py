@@ -257,9 +257,13 @@ class TestSatelliteFixes:
                 assert "injected" not in second["methods"]
                 assert "poison" not in second
 
-    def test_byte_counters_attributed_per_method(self, service_daemon):
+    @pytest.mark.parametrize("max_inflight", [1, 4])
+    def test_byte_counters_attributed_per_method(
+        self, service_daemon, max_inflight
+    ):
         """Concurrent calls attribute wire bytes to the right method and
-        drop nothing: per-method counters sum to the connection totals."""
+        drop nothing: per-method counters sum to the connection totals,
+        ONEWAY frames included, at every window."""
         uri, _service, _daemon = service_daemon
         metrics = MetricsRegistry()
         listener, factory = delayed_loopback(0.0)
@@ -271,7 +275,11 @@ class TestSatelliteFixes:
             # that belong to no method, and this test asserts exact
             # per-method attribution of every byte on the wire
             proxy = Proxy(
-                uri, connection_factory=factory, metrics=metrics, binary=False
+                uri,
+                connection_factory=factory,
+                metrics=metrics,
+                binary=False,
+                max_inflight=max_inflight,
             )
             barrier = threading.Barrier(4)
 
@@ -282,6 +290,7 @@ class TestSatelliteFixes:
                         proxy.payload(2048)
                     else:
                         proxy.echo("tiny")
+                        proxy.echo.oneway("tiny")
 
             threads = [
                 threading.Thread(target=worker, args=(i,)) for i in range(4)

@@ -10,13 +10,15 @@ Model (Bard & Faulkner, ch. 6 and appendix B):
   concentrations solve the 2x2 flux-balance system each step;
 - anodic current positive: I = n F A (kb C_R(0) - kf C_O(0));
 - uncompensated resistance Ru is solved implicitly per step — the root of
-  E_eff = E_applied - I(E_eff) Ru found by bisection (monotone residual),
-  which stays stable where an explicit lag oscillates — and double-layer
-  charging adds Cdl A dE_eff/dt.
+  E_eff = E_applied - I(E_eff) Ru found by Newton's method on the analytic
+  dI/dE, kept inside a sign-checked bracket that it bisects whenever a
+  step would leave it (3-4 current evaluations per step), which stays
+  stable where an explicit lag oscillates — and double-layer charging
+  adds Cdl A dE_eff/dt.
 
-The interior update is a single vectorised stencil per species per step
-(in-place, no temporaries beyond the shifted views), per the HPC guide:
-a 2400-sample, 2-cycle ferrocene run is a few milliseconds.
+The interior update is one vectorised stencil over both species per step,
+in place on a (2, n_x) array. On one core of a 2-vCPU Intel Xeon host the
+1,200-sample paper CV (2 substeps, Ru = 100 ohm) takes ~40 ms.
 
 Validation targets (tested): Randles-Sevcik peak current within ~2 %,
 peak separation within a few mV of 2.218 RT/nF for a reversible couple,
@@ -272,7 +274,7 @@ class CVEngine:
 
         substeps = self.substeps
         dt = sample_dt / substeps
-        dx = np.sqrt(diffusion * dt / MESH_RATIO)
+        dx = math.sqrt(diffusion * dt / MESH_RATIO)
         depth = DOMAIN_SIGMAS * np.sqrt(diffusion * time[-1])
         n_x = max(int(np.ceil(depth / dx)) + 1, 10)
         if n_x > 2_000_000:
@@ -280,13 +282,13 @@ class CVEngine:
                 f"grid of {n_x} points is unreasonable; check dt/scan rate"
             )
 
-        c_bulk = self.bulk_concentration
-        conc_o = np.zeros(n_x)
-        conc_r = np.zeros(n_x)
-        if self.reduced_initially:
-            conc_r[:] = c_bulk
-        else:
-            conc_o[:] = c_bulk
+        # rows O and R share one stencil update; the far column holds the
+        # bulk values, which neither the stencil nor the decay changes
+        conc = np.zeros((2, n_x))
+        conc[1 if self.reduced_initially else 0] = self.bulk_concentration
+        inner, left, right = conc[:, 1:-1], conc[:, :-2], conc[:, 2:]
+        # the electro-generated form: O for a reduced-start analyte
+        product = conc[0] if self.reduced_initially else conc[1]
 
         area = self.area_cm2
         nfa = n * FARADAY * area
@@ -298,17 +300,15 @@ class CVEngine:
         g_scale = diffusion / (2.0 * dx)
         e0 = self.species.formal_potential_v
 
+        applied = potential.tolist()
         current = np.empty_like(potential)
-        i_prev = 0.0
-        e_eff_prev = potential[0]
+        e_eff_prev = e_eff_older = applied[0]
         lam = MESH_RATIO  # = D dt / dx^2 by construction
 
         # Substep potentials interpolate linearly between recorded samples,
         # which is exact for the staircase-free triangular sweep.
         e_previous_sample = (
-            potential[0] - (potential[1] - potential[0])
-            if len(potential) > 1
-            else potential[0]
+            applied[0] - (applied[1] - applied[0]) if len(applied) > 1 else applied[0]
         )
 
         # EC mechanism: per-substep survival factor of the electro-
@@ -316,83 +316,90 @@ class CVEngine:
         k_follow = self.following_reaction_per_s
         survival = math.exp(-k_follow * dt) if k_follow > 0.0 else 1.0
 
-        for step in range(len(potential)):
-            e_target = potential[step]
+        def evaluate(e_eff: float) -> tuple[float, float, float, float, float]:
+            """Residual R, dR/dE, total current and surface concentrations.
+
+            R(e) = e - e_applied + Ru I(e); the faradaic current is the
+            closed form of nFA (kb C_R(0) - kf C_O(0)).
+            """
+            eta = e_eff - e0
+            # clamp: |eta| beyond ~1.5 V is transport-limited anyway (the
+            # slope below ignores the clamp: there it is ~0 either way)
+            kf = k0 * math.exp(min(max(-alpha * f_volt * eta, -60.0), 60.0))
+            kb = k0 * math.exp(min(max((1.0 - alpha) * f_volt * eta, -60.0), 60.0))
+            denom = b_coeff + kf + kb
+            co0 = ((b_coeff + kb) * g_o + kb * g_r) / (b_coeff * denom)
+            cr0 = ((b_coeff + kf) * g_r + kf * g_o) / (b_coeff * denom)
+            i_total = nfa * (kb * g_r - kf * g_o) / denom
+            slope = nfa * f_volt * (
+                (1.0 - alpha) * b_coeff * kb * g_r
+                + alpha * b_coeff * kf * g_o
+                + kf * kb * (g_o + g_r)
+            ) / (denom * denom)
+            if not first:
+                i_total += cdl * (e_eff - e_eff_prev) / dt
+                slope += cdl / dt
+            return e_eff - e_applied + ru * i_total, 1.0 + ru * slope, i_total, co0, cr0
+
+        for step, e_target in enumerate(applied):
             e_start = e_previous_sample
             for sub in range(substeps):
                 # interior diffusion update, vectorised stencil (in place)
-                conc_o[1:-1] += lam * (conc_o[2:] - 2.0 * conc_o[1:-1] + conc_o[:-2])
-                conc_r[1:-1] += lam * (conc_r[2:] - 2.0 * conc_r[1:-1] + conc_r[:-2])
+                inner += lam * (right - 2.0 * inner + left)
                 if survival != 1.0:
-                    # the product of the electrode reaction decays in
-                    # solution (O for a reduced-start analyte, R otherwise)
-                    if self.reduced_initially:
-                        conc_o *= survival
-                    else:
-                        conc_r *= survival
-                # far boundary pinned at bulk values
-                conc_o[-1] = c_bulk if not self.reduced_initially else 0.0
-                conc_r[-1] = c_bulk if self.reduced_initially else 0.0
+                    product *= survival
 
                 e_applied = e_start + (e_target - e_start) * (sub + 1) / substeps
                 # per-substep diffusive supply to the surface (fixed while
                 # the ohmic drop is iterated)
-                g_o = g_scale * (4.0 * conc_o[1] - conc_o[2])
-                g_r = g_scale * (4.0 * conc_r[1] - conc_r[2])
+                (o_1, o_2), (r_1, r_2) = conc[:, 1:3].tolist()
+                g_o = g_scale * (4.0 * o_1 - o_2)
+                g_r = g_scale * (4.0 * r_1 - r_2)
                 first = step + sub == 0
 
-                def evaluate(e_eff: float) -> tuple[float, float, float]:
-                    """Total current and surface concentrations at e_eff."""
-                    eta = e_eff - e0
-                    # clamp: |eta| beyond ~1.5 V is transport-limited anyway
-                    arg_f = -alpha * f_volt * eta
-                    arg_b = (1.0 - alpha) * f_volt * eta
-                    kf_ = k0 * math.exp(min(max(arg_f, -60.0), 60.0))
-                    kb_ = k0 * math.exp(min(max(arg_b, -60.0), 60.0))
-                    det = b_coeff * b_coeff + b_coeff * (kf_ + kb_)
-                    co0_ = ((b_coeff + kb_) * g_o + kb_ * g_r) / det
-                    cr0_ = ((b_coeff + kf_) * g_r + kf_ * g_o) / det
-                    i_far = nfa * (kb_ * cr0_ - kf_ * co0_)
-                    i_cap = 0.0 if first else cdl * (e_eff - e_eff_prev) / dt
-                    return i_far + i_cap, co0_, cr0_
-
                 if ru > 0.0:
-                    # Implicit ohmic drop: solve R(e) = e - e_applied +
-                    # I(e) Ru = 0. I is strictly increasing in e (anodic
-                    # convention), so R is monotone and bisection always
-                    # converges — an explicit lag or plain fixed point
-                    # oscillates once Ru * dI/dE exceeds 1.
-                    half_width = 0.05
-                    lo = e_eff_prev - half_width
-                    hi = e_eff_prev + half_width
-                    for _ in range(40):  # expand until the root is bracketed
-                        r_lo = lo - e_applied + evaluate(lo)[0] * ru
-                        r_hi = hi - e_applied + evaluate(hi)[0] * ru
-                        if r_lo <= 0.0 <= r_hi:
+                    # Implicit ohmic drop: Newton on R from the linear
+                    # extrapolation of the last two e_eff (an explicit lag
+                    # or plain fixed point oscillates once Ru dI/dE > 1).
+                    # With g_o, g_r >= 0, dR/dE >= 1, so the root lies
+                    # within |R(e)| of e and e - R(e) is the far end of a
+                    # bracket; the one-sided stencil can make g slightly
+                    # negative, so that end's sign is evaluated (widening
+                    # until it flips). Newton steps that would leave the
+                    # bracket bisect it instead.
+                    e_eff = 2.0 * e_eff_prev - e_eff_older
+                    resid, d_resid, i_total, co0, cr0 = evaluate(e_eff)
+                    lo = hi = e_eff
+                    reach, calls = resid, 1
+                    while lo == hi and resid != 0.0 and calls < 88:
+                        far = e_eff - reach
+                        calls += 1
+                        if (evaluate(far)[0] > 0.0) != (resid > 0.0):
+                            lo, hi = (far, e_eff) if resid > 0.0 else (e_eff, far)
+                        reach *= 2.0
+                    while calls < 88:
+                        # nan (no usable slope) fails both tests below
+                        delta = resid / d_resid if d_resid > 0.0 else math.nan
+                        if abs(delta) < 1e-12:
                             break
-                        half_width *= 2.0
-                        lo = e_eff_prev - half_width
-                        hi = e_eff_prev + half_width
-                    for _ in range(48):
-                        mid = 0.5 * (lo + hi)
-                        if mid - e_applied + evaluate(mid)[0] * ru > 0.0:
-                            hi = mid
+                        e_eff -= delta
+                        if not lo < e_eff < hi:
+                            e_eff = 0.5 * (lo + hi)
+                        resid, d_resid, i_total, co0, cr0 = evaluate(e_eff)
+                        calls += 1
+                        if resid > 0.0:
+                            hi = e_eff
                         else:
-                            lo = mid
-                        if hi - lo < 1e-9:
-                            break
-                    e_eff = 0.5 * (lo + hi)
-                    i_total, co0, cr0 = evaluate(e_eff)
+                            lo = e_eff
                 else:
                     e_eff = e_applied
-                    i_total, co0, cr0 = evaluate(e_eff)
+                    _, _, i_total, co0, cr0 = evaluate(e_eff)
 
                 # clamp tiny negative overshoots from the one-sided stencil
-                conc_o[0] = co0 if co0 > 0.0 else 0.0
-                conc_r[0] = cr0 if cr0 > 0.0 else 0.0
-                i_prev = i_total
-                e_eff_prev = e_eff
-            current[step] = i_prev
+                conc[0, 0] = co0 if co0 > 0.0 else 0.0
+                conc[1, 0] = cr0 if cr0 > 0.0 else 0.0
+                e_eff_older, e_eff_prev = e_eff_prev, e_eff
+            current[step] = i_total
             e_previous_sample = e_target
 
         if not np.all(np.isfinite(current)):

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import linalg, optimize
+from scipy.linalg import lapack
 
 from repro.errors import MLError, NotFittedError
 
@@ -90,27 +91,30 @@ class GaussianProcessRegressor:
         """Negative log marginal likelihood and its gradient in theta."""
         kernel = RBFKernel.from_theta(theta)
         n = len(x)
-        k_matrix = kernel(x, x)
-        k_noisy = k_matrix + (kernel.noise_std**2 + self.jitter) * np.eye(n)
-        try:
-            chol = linalg.cholesky(k_noisy, lower=True)
-        except linalg.LinAlgError:
+        sq = (x[:, None] - x[None, :]) ** 2
+        signal_var, noise_var = kernel.signal_std**2, kernel.noise_std**2
+        base = signal_var * np.exp(-0.5 * sq / kernel.length_scale**2)
+        k_noisy = base.copy()
+        k_noisy.flat[:: n + 1] += noise_var + self.jitter
+        chol, info = lapack.dpotrf(k_noisy, lower=True, clean=True, overwrite_a=True)
+        if info != 0:
             return 1e25, np.zeros(3)
         alpha = linalg.cho_solve((chol, True), y)
         log_det = 2.0 * np.log(np.diag(chol)).sum()
         nll = 0.5 * (y @ alpha) + 0.5 * log_det + 0.5 * n * np.log(2 * np.pi)
 
-        # gradient: dL/dtheta_i = -0.5 tr((aa^T - K^-1) dK/dtheta_i)
-        k_inv = linalg.cho_solve((chol, True), np.eye(n))
-        outer = np.outer(alpha, alpha) - k_inv
-        sq = (x[:, None] - x[None, :]) ** 2
-        base = kernel.signal_std**2 * np.exp(-0.5 * sq / kernel.length_scale**2)
-        # d/d log(l): base * sq / l^2
-        grad_l = -0.5 * np.sum(outer * (base * sq / kernel.length_scale**2))
-        # d/d log(s): 2 * base
-        grad_s = -0.5 * np.sum(outer * (2.0 * base))
-        # d/d log(noise): 2 * noise^2 I
-        grad_n = -0.5 * np.trace(outer) * 2.0 * kernel.noise_std**2
+        # gradient: dL/dtheta_i = -0.5 tr((aa^T - K^-1) dK/dtheta_i), with
+        # dK/dlog(l) = base sq / l^2, dK/dlog(s) = 2 base and
+        # dK/dlog(noise) = 2 noise^2 I. potri leaves K^-1 in the lower
+        # triangle (the upper stays zero), so for symmetric M,
+        # sum(K^-1 * M) = 2 sum(tril * M) - sum(diag(K^-1) diag(M)).
+        k_inv, _ = lapack.dpotri(chol, lower=True, overwrite_c=True)
+        inv_trace = np.trace(k_inv)
+        d_length = base * sq / kernel.length_scale**2  # zero diagonal
+        grad_l = -0.5 * (alpha @ d_length @ alpha - 2.0 * np.vdot(k_inv, d_length))
+        sum_base = 2.0 * np.vdot(k_inv, base) - signal_var * inv_trace
+        grad_s = -(alpha @ base @ alpha - sum_base)
+        grad_n = -noise_var * (alpha @ alpha - inv_trace)
         return float(nll), np.array([grad_l, grad_s, grad_n])
 
     # -- API -----------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from repro.chemistry.cv_engine import (
@@ -14,6 +14,7 @@ from repro.chemistry.cv_engine import (
 from repro.chemistry.species import FERROCENE, RedoxSpecies, ferrocene_solution
 from repro.errors import SimulationError
 from repro.units import FARADAY, GAS_CONSTANT, celsius_to_kelvin
+from tests.cv_reference import bisection_solve
 
 AREA = 0.0707
 CONC = ferrocene_solution(2.0).concentration(FERROCENE)
@@ -258,6 +259,108 @@ class TestNumericalBehaviour:
         e_cathodic, i_cathodic = trace.peak_cathodic()
         assert i_anodic > 0 > i_cathodic
         assert e_anodic > e_cathodic
+
+
+def _ml_corpus_params(scan_rate: float) -> CVParameters:
+    """The sweep ``generate_dataset`` simulates: 2 cycles at 2 mV."""
+    return CVParameters(
+        e_begin_v=0.2,
+        e_vertex_v=0.8,
+        scan_rate_v_s=scan_rate,
+        n_cycles=2,
+        e_step_v=0.002,
+    )
+
+
+def _lsv_waveform() -> tuple[np.ndarray, np.ndarray]:
+    """One 0.2 -> 0.8 V ramp at 0.1 V/s, sampled as ``LSVTechnique`` does."""
+    steps = np.arange(1, 601, dtype=np.float64)
+    return steps * 0.01, 0.2 + steps * 0.001
+
+
+def _dpv_waveform() -> tuple[np.ndarray, np.ndarray]:
+    """The default ``DPVTechnique`` program: 50 mV pulses on a 5 mV staircase."""
+    samples_per_period, pulse_samples, n_steps = 32, 8, 120
+    base = 0.2 + 0.005 * np.arange(n_steps, dtype=np.float64)
+    in_pulse = np.arange(samples_per_period) >= samples_per_period - pulse_samples
+    potential = np.repeat(base, samples_per_period) + 0.05 * np.tile(in_pulse, n_steps)
+    time = np.arange(1, len(potential) + 1, dtype=np.float64) * (0.2 / samples_per_period)
+    return time, potential
+
+
+#: (engine kwargs, CVParameters or a function returning (time, potential)) per case
+REFERENCE_CASES = {
+    "paper-cv-tbaotf": (
+        {"resistance_ohm": ferrocene_solution(2.0).resistance_ohm, "substeps": 2},
+        CVParameters(),
+    ),
+    **{
+        f"ml-corpus-{ru:g}ohm-{rate:g}v_s": (
+            {"resistance_ohm": ru, "substeps": 1},
+            _ml_corpus_params(rate),
+        )
+        for ru in (50.0, 200.0, 1000.0, 3000.0)
+        for rate in (0.05, 0.4)
+    },
+    "no-ru": ({"resistance_ohm": 0.0}, CVParameters()),
+    "oxidised-start-ec": (
+        {
+            "resistance_ohm": 100.0,
+            "reduced_initially": False,
+            "following_reaction_per_s": 0.5,
+        },
+        CVParameters(e_begin_v=0.8, e_vertex_v=0.2),
+    ),
+    **{
+        f"{name}-{ru:g}ohm": ({"resistance_ohm": ru}, build)
+        for name, build in (("lsv", _lsv_waveform), ("dpv", _dpv_waveform))
+        for ru in (100.0, 3000.0)
+    },
+}
+
+
+def _max_deviation(engine: CVEngine, program) -> float:
+    """max |I - I_ref| over max |I_ref| against the bisection reference."""
+    if isinstance(program, CVParameters):
+        time, potential, _ = potential_waveform(program)
+        current = engine.run(program).current_a
+        dt = program.dt_s
+    else:
+        time, potential = program()
+        current = engine.run_waveform(time, potential).current_a
+        dt = float(np.diff(time)[0])
+    reference = bisection_solve(engine, time, potential, dt)
+    return float(np.abs(current - reference).max() / np.abs(reference).max())
+
+
+class TestOhmicDropAgainstBisection:
+    """The Newton ohmic-drop solve against the bisection it replaced.
+
+    The bisection stopped at a 1e-9 V bracket, so the two agree to about
+    dI/dE x 1e-9 V; 1e-6 of the peak current leaves room for that and
+    still catches a wrong root or a lost substep.
+    """
+
+    TOLERANCE = 1e-6
+
+    @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+    def test_case_table(self, case):
+        kwargs, program = REFERENCE_CASES[case]
+        engine = CVEngine(FERROCENE, CONC, AREA, **kwargs)
+        assert _max_deviation(engine, program) <= self.TOLERANCE
+
+    @seed(15)
+    @given(
+        st.floats(min_value=0.0, max_value=3000.0),
+        st.floats(min_value=0.02, max_value=0.5),
+        st.floats(min_value=0.5, max_value=5.0),
+    )
+    @settings(max_examples=10, deadline=None)
+    def test_property_sweep(self, resistance, scan_rate, conc_mm):
+        engine = CVEngine(
+            FERROCENE, conc_mm * 1e-6, AREA, resistance_ohm=resistance, substeps=1
+        )
+        assert _max_deviation(engine, _ml_corpus_params(scan_rate)) <= self.TOLERANCE
 
 
 class TestFromCellConditions:

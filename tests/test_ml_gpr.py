@@ -110,3 +110,21 @@ class TestGPRegression:
         y = np.sin(2 * np.pi * x) + rng.normal(0, 0.1, 60)
         gp = GaussianProcessRegressor().fit(x, y)
         assert 0.01 <= gp.residual_std() <= 0.3
+
+
+class TestObjectiveErrorPaths:
+    def test_failed_factorisation_returns_sentinel(self):
+        # a huge signal variance at a long length scale makes K + jitter
+        # numerically singular; the corner lies inside the fit's bounds
+        x = np.linspace(0, 1, 96)
+        theta = np.log([10.0, 1e3, 1e-6])
+        value, grad = GaussianProcessRegressor()._neg_log_marginal(theta, x, np.sin(x))
+        assert value == 1e25
+        np.testing.assert_array_equal(grad, np.zeros(3))
+
+    def test_nan_target_raises(self):
+        x = np.linspace(0, 1, 20)
+        y = np.sin(x)
+        y[7] = np.nan
+        with pytest.raises(ValueError):
+            GaussianProcessRegressor().fit(x, y)

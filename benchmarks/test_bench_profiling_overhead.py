@@ -1,10 +1,11 @@
 """PROF1 — what continuous profiling + live streaming cost per span.
 
-The profiler samples at every span transition and the telemetry bus
+Inside a profiled block every span stamps its thread and thread CPU
+time and lands in the block's span list, and the telemetry bus
 publishes every finished span to each subscriber ring — all inline with
 the workflow. The design target is <5% added wall time on the paper's
-five-task CV workflow with everything on (profiler + live stream with
-an active subscriber + metric streaming).
+five-task CV workflow with everything on (profiled block + live stream
+with an active subscriber + metric streaming).
 
 The e2e workflow wall time is dominated by simulated instrument waits
 with tens of milliseconds of scheduler jitter, so gating a 5% target on
@@ -31,9 +32,9 @@ import repro
 from repro.core.cv_workflow import CVWorkflowSettings
 from repro.obs import (
     MetricsRegistry,
-    SpanProfiler,
     TelemetryBus,
     Tracer,
+    profiled,
 )
 
 SETTINGS = CVWorkflowSettings(e_step_v=0.01)
@@ -60,19 +61,17 @@ def test_profiling_overhead_under_five_percent(capsys):
     bus = TelemetryBus("dgx-session", metrics=metrics)
     bus.attach_tracer(observed_tracer)
     bus.observe_metrics(metrics)
-    profiler = SpanProfiler()
-    assert profiler.attach(observed_tracer)
     subscription = bus.subscribe(capacity=SPANS_PER_BATCH * 2)
 
     timings = {"bare": float("inf"), "observed": float("inf")}
-    for _ in range(2):  # interleave so clock drift hits both alike
-        timings["bare"] = min(timings["bare"], _per_span_cost(bare_tracer))
-        timings["observed"] = min(
-            timings["observed"], _per_span_cost(observed_tracer)
-        )
-        subscription.poll()  # keep the ring from saturating
+    with profiled(observed_tracer) as profiler:
+        for _ in range(2):  # interleave so clock drift hits both alike
+            timings["bare"] = min(timings["bare"], _per_span_cost(bare_tracer))
+            timings["observed"] = min(
+                timings["observed"], _per_span_cost(observed_tracer)
+            )
+            subscription.poll()  # keep the ring from saturating
     delta_per_span = timings["observed"] - timings["bare"]
-    profiler.detach()
     bus.detach()
 
     # the observed stack really did observe

@@ -48,7 +48,6 @@ from repro.obs import (
     HealthReport,
     MetricsRegistry,
     SessionStream,
-    SpanProfiler,
     TelemetryBus,
     TelemetryEvent,
     Tracer,
@@ -103,7 +102,6 @@ __all__ = [
     "TelemetryBus",
     "TelemetryEvent",
     "SessionStream",
-    "SpanProfiler",
     "BaselineStore",
     "FlightRecorder",
     "HealthEngine",

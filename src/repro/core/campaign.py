@@ -19,6 +19,7 @@ propose the next round's settings or stop. Three strategies ship:
 from __future__ import annotations
 
 import uuid
+from contextlib import nullcontext
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -32,7 +33,8 @@ from repro.facility.ice import ElectrochemistryICE
 from repro.resilience import RetryPolicy
 from repro.obs.health import HealthEngine
 from repro.obs.health import require_healthy as _gate_healthy
-from repro.obs.profiler import SpanProfiler
+from repro.obs.profiler import profiled
+from repro.obs.recorder import pull_remote_snapshots
 from repro.obs.trace import child_span, use_span
 from repro.core.cv_workflow import (
     CVWorkflowResult,
@@ -138,11 +140,10 @@ class Campaign:
             safe-state teardown.
         flight_dir: dump directory (default
             ``<measurement_dir>/flight-recorder``).
-        profile: attach one
-            :class:`~repro.obs.profiler.SpanProfiler` to the ICE's
-            tracer for the whole campaign; the cumulative
-            ``repro-profile-1`` document lands on ``profile_doc`` (and
-            each round's result carries the snapshot taken at its end).
+        profile: profile the ICE's tracer for the whole campaign; the
+            ``repro-profile-1`` document of every round lands on
+            ``profile_doc``, and each round's result carries the
+            document of that round only.
         journal_dir: enable durable execution. Every round transition
             is appended to a crash-consistent write-ahead journal
             (``<journal_dir>/campaign.jsonl``) and each completed
@@ -192,22 +193,21 @@ class Campaign:
             _gate_healthy(self.health_engine, what="campaign")
         self.rounds.clear()
         self._open_journal(fresh=True)
-        profiler, owns_profiler = self._attach_profiler()
+        block = self._profiled()
         try:
-            self._journal_append(
-                "campaign-started",
-                campaign_id=uuid.uuid4().hex,
-                max_rounds=self.max_rounds,
-                abort_on_abnormal=self.abort_on_abnormal,
-                strategy_spec=getattr(self.strategy, "spec", None),
-            )
-            self._run_rounds()
-            self._journal_finished()
+            with block or nullcontext():
+                self._journal_append(
+                    "campaign-started",
+                    campaign_id=uuid.uuid4().hex,
+                    max_rounds=self.max_rounds,
+                    abort_on_abnormal=self.abort_on_abnormal,
+                    strategy_spec=getattr(self.strategy, "spec", None),
+                )
+                self._run_rounds()
+                self._journal_finished()
         finally:
-            if profiler is not None:
-                self.profile_doc = profiler.profile()
-                if owns_profiler:
-                    profiler.detach()
+            if block is not None:
+                self.profile_doc = block.profile()
             self._close_journal()
         return self.rounds
 
@@ -268,47 +268,46 @@ class Campaign:
         skipped: list[int] = []
         rerun: list[int] = []
         self._open_journal(fresh=False)
-        profiler, owns_profiler = self._attach_profiler()
+        block = self._profiled()
         try:
-            for index in sorted(started):
-                if index in completed:
-                    store = self._checkpoints
-                    payload = (
-                        store.load(completed[index])
-                        if store is not None
-                        else None
-                    )
-                    if payload is None:
-                        raise WorkflowError(
-                            f"checkpoint {completed[index]!r} missing for "
-                            f"completed round {index}"
+            with block or nullcontext():
+                for index in sorted(started):
+                    if index in completed:
+                        store = self._checkpoints
+                        payload = (
+                            store.load(completed[index])
+                            if store is not None
+                            else None
                         )
-                    self.rounds.append(_round_from_checkpoint(payload))
-                    skipped.append(index)
-                    continue
-                # the torn round: re-issue under the journaled prefix
-                data = started[index]
-                record = self._run_round(
-                    _settings_from_json(data["settings"]),
-                    retry_of=data.get("retry_of"),
-                    idem_prefix=data.get("idem_prefix"),
-                    resumed_start=True,
-                )
-                rerun.append(index)
-                if not record.result.succeeded:
-                    break
-                if self._abnormal(record) and self.abort_on_abnormal:
-                    self.dump_flight("abnormal-round")
-                    break
-            else:
-                if not finished:
-                    self._run_rounds()
-            self._journal_finished()
+                        if payload is None:
+                            raise WorkflowError(
+                                f"checkpoint {completed[index]!r} missing for "
+                                f"completed round {index}"
+                            )
+                        self.rounds.append(_round_from_checkpoint(payload))
+                        skipped.append(index)
+                        continue
+                    # the torn round: re-issue under the journaled prefix
+                    data = started[index]
+                    record = self._run_round(
+                        _settings_from_json(data["settings"]),
+                        retry_of=data.get("retry_of"),
+                        idem_prefix=data.get("idem_prefix"),
+                        resumed_start=True,
+                    )
+                    rerun.append(index)
+                    if not record.result.succeeded:
+                        break
+                    if self._abnormal(record) and self.abort_on_abnormal:
+                        self.dump_flight("abnormal-round")
+                        break
+                else:
+                    if not finished:
+                        self._run_rounds()
+                self._journal_finished()
         finally:
-            if profiler is not None:
-                self.profile_doc = profiler.profile()
-                if owns_profiler:
-                    profiler.detach()
+            if block is not None:
+                self.profile_doc = block.profile()
             self._close_journal()
         if metrics is not None:
             if skipped:
@@ -359,23 +358,13 @@ class Campaign:
                 "campaign journal records written",
             ).inc(kind=kind)
 
-    def _attach_profiler(self) -> tuple[Any, bool]:
-        """One shared profiler across all rounds when ``profile=True``.
-
-        Reuses a profiler someone already attached to the ICE tracer
-        (leaving ownership with them); otherwise attaches its own and
-        detaches it after the campaign. Without an ICE tracer, rounds
-        still profile individually via their private workflow tracers.
-        """
-        if not self.profile:
-            return None, False
-        tracer = self.ice.tracer
-        if tracer is None:
-            return None, False
-        if tracer.profiler is not None:
-            return tracer.profiler, False
-        profiler = SpanProfiler(clock=tracer.clock)
-        return profiler, profiler.attach(tracer)
+    def _profiled(self) -> profiled | None:
+        """A block on the ICE tracer covering every round, when
+        ``profile=True``. Without an ICE tracer, rounds still profile
+        individually via their private workflow tracers."""
+        if not self.profile or self.ice.tracer is None:
+            return None
+        return profiled(self.ice.tracer)
 
     def _run_rounds(self) -> None:
         while len(self.rounds) < self.max_rounds:
@@ -419,17 +408,7 @@ class Campaign:
         """
         if self.flight_recorder is None:
             return None
-        remote: list[Any] = []
-        try:
-            proxy = self.ice.recorder_client()
-            try:
-                snapshot = proxy.Recorder_Dump()
-                if isinstance(snapshot, dict):
-                    remote.append(snapshot)
-            finally:
-                proxy.close()
-        except Exception:  # noqa: BLE001 - the dump must still land
-            pass
+        remote = pull_remote_snapshots(self.ice.recorder_client)
         target = (
             Path(self.flight_dir)
             if self.flight_dir is not None

@@ -99,8 +99,10 @@ class SessionConfig:
             :meth:`~repro.core.facade.Session.campaign` — individual
             calls can still override it.
         profile: default for span profiling on
-            :meth:`~repro.core.facade.Session.run_workflow` and
-            :meth:`~repro.core.facade.Session.campaign`.
+            :meth:`~repro.core.facade.Session.run_workflow` (one
+            ``repro-profile-1`` document per run, built from the spans
+            it finishes) and :meth:`~repro.core.facade.Session.campaign`
+            (one per round plus one over all rounds).
         journal_dir: durable-execution journal directory handed to
             campaigns built via
             :meth:`~repro.core.facade.Session.campaign`; None runs

@@ -22,7 +22,9 @@ from typing import Any
 from repro.clock import WALL
 from repro.errors import WorkflowError
 from repro.logging_utils import EventLog
-from repro.obs.trace import child_span
+from repro.obs.profiler import profiled
+from repro.obs.recorder import pull_remote_snapshots
+from repro.obs.trace import Tracer, child_span
 from repro.resilience import RetryPolicy
 from repro.chemistry.voltammogram import Voltammogram
 from repro.analysis.metrics import CVMetrics, characterize
@@ -326,17 +328,7 @@ def build_cv_workflow(
                 # runs after close_control_channel, so it opens its own
                 # proxy; a partitioned channel yields a client-half-only
                 # dump rather than no dump at all
-                remote: list[Any] = []
-                try:
-                    proxy = ice.recorder_client()
-                    try:
-                        snapshot = proxy.Recorder_Dump()
-                        if isinstance(snapshot, dict):
-                            remote.append(snapshot)
-                    finally:
-                        proxy.close()
-                except Exception:  # noqa: BLE001 - the dump must still land
-                    pass
+                remote = pull_remote_snapshots(ice.recorder_client)
                 target = (
                     Path(flight_dir)
                     if flight_dir is not None
@@ -370,12 +362,11 @@ def run_cv_workflow(
 ) -> CVWorkflowResult:
     """Build, run, and package the paper's workflow in one call.
 
-    ``profile=True`` samples the run with a
-    :class:`~repro.obs.profiler.SpanProfiler` and attaches the
-    ``repro-profile-1`` document as ``result.profile``. When the tracer
-    already carries a profiler (e.g. a campaign profiling several runs),
-    that one is shared and left attached; otherwise a private profiler
-    is attached for this run and detached afterwards.
+    ``profile=True`` opens a :func:`~repro.obs.profiler.profiled` block
+    on the run's tracer (a private one when the ICE carries none) and
+    attaches the ``repro-profile-1`` document of the spans the run
+    finishes as ``result.profile``. Blocks nest, so a campaign profiling
+    all its rounds still gets one document per round.
 
     ``resume_from`` pins the control client's idempotency-key prefix for
     durable at-most-once across daemon restarts (see
@@ -391,28 +382,17 @@ def run_cv_workflow(
         flight_dir=flight_dir,
         resume_from=resume_from,
     )
-    profiler = None
-    owns_profiler = False
+    profile_doc = None
     if profile:
-        from repro.obs.profiler import SpanProfiler
-
-        run_tracer = tracer if tracer is not None else ice.tracer
-        if run_tracer is None:
+        if flow.tracer is None:
             # profile=True without any tracer: trace the run privately so
-            # there is something to sample
-            from repro.obs.trace import Tracer
-
-            run_tracer = Tracer("cv-workflow")
-            flow.tracer = run_tracer
-        profiler = run_tracer.profiler
-        if profiler is None:
-            profiler = SpanProfiler(clock=run_tracer.clock)
-            owns_profiler = profiler.attach(run_tracer)
-    try:
+            # there is something to profile
+            flow.tracer = Tracer("cv-workflow")
+        with profiled(flow.tracer) as block:
+            outcome = flow.run()
+        profile_doc = block.profile()
+    else:
         outcome = flow.run()
-    finally:
-        if owns_profiler and profiler is not None:
-            profiler.detach()
     ctx = outcome.context
     return CVWorkflowResult(
         workflow=outcome,
@@ -420,5 +400,5 @@ def run_cv_workflow(
         metrics=ctx.get("metrics"),
         normality=ctx.get("normality"),
         measurement_file=ctx.get("measurement_file"),
-        profile=profiler.profile() if profiler is not None else None,
+        profile=profile_doc,
     )

@@ -51,6 +51,7 @@ from repro.obs.recorder import (
     FlightRecorder,
     FlightRecorderServer,
     is_daemon_side_span,
+    pull_remote_snapshots,
 )
 from repro.obs.scrape import ObsAggregator, ObservabilityServer, format_top
 from repro.obs.slo import SLOEngine, default_objectives
@@ -373,27 +374,26 @@ class Session:
         if self.ice is not None:
             proxy = self.ice.lease_client()
         else:
-            uri = self._remote_lease_uri()
+            from repro.durability import LeaseServer
+            from repro.rpc.proxy import Proxy
+
+            uri = self._remote_uri(LeaseServer.OBJECT_ID)
             if uri is None:
                 raise WorkflowError(
                     "reattach() needs an in-process ICE or a control URI"
                 )
-            from repro.rpc.proxy import Proxy
-
             proxy = Proxy(uri, timeout=10.0)
         try:
             return int(proxy.Lease_Acquire(resource, holder))
         finally:
             proxy.close()
 
-    def _remote_lease_uri(self) -> str | None:
-        """Lease URI next to the control object (URI mode only)."""
+    def _remote_uri(self, object_id: str) -> str | None:
+        """URI of ``object_id`` next to the control object (URI mode only)."""
         uri = self._control_uri
         if not uri or "@" not in uri:
             return None
-        from repro.durability import LeaseServer
-
-        return f"PYRO:{LeaseServer.OBJECT_ID}@{uri.split('@', 1)[1]}"
+        return f"PYRO:{object_id}@{uri.split('@', 1)[1]}"
 
     # -- workflows -----------------------------------------------------------
     def workflow(
@@ -442,9 +442,9 @@ class Session:
     ):
         """Build + run + package the CV workflow (tasks A-E).
 
-        ``profile=True`` attaches a
-        :class:`~repro.obs.profiler.SpanProfiler` for the run; the
-        ``repro-profile-1`` document lands on ``result.profile``. Both
+        ``profile=True`` profiles the spans the run finishes (see
+        :func:`~repro.obs.profiler.profiled`); the ``repro-profile-1``
+        document lands on ``result.profile``. Both
         ``require_healthy`` and ``profile`` default (None) to the
         session's :class:`~repro.core.config.SessionConfig`.
         """
@@ -607,7 +607,7 @@ class Session:
         if self.ice is not None:
             remote_fn = self.ice.telemetry_client
         else:
-            uri = self._remote_telemetry_uri()
+            uri = self._remote_uri(TelemetryServer.OBJECT_ID)
             if uri is None:
                 remote_fn = None
             else:
@@ -623,20 +623,6 @@ class Session:
             capacity=capacity,
             max_remote_events=max_remote_events,
         )
-
-    def _remote_telemetry_uri(self) -> str | None:
-        """Telemetry URI next to the control object (URI mode only)."""
-        uri = self._control_uri
-        if not uri or "@" not in uri:
-            return None
-        return f"PYRO:{TelemetryServer.OBJECT_ID}@{uri.split('@', 1)[1]}"
-
-    def _remote_obs_uri(self) -> str | None:
-        """Scrape URI next to the control object (URI mode only)."""
-        uri = self._control_uri
-        if not uri or "@" not in uri:
-            return None
-        return f"PYRO:{ObservabilityServer.OBJECT_ID}@{uri.split('@', 1)[1]}"
 
     def slo(self) -> list[dict[str, Any]]:
         """Evaluate every objective now; one status per (objective, tenant).
@@ -685,7 +671,7 @@ class Session:
             if self.ice is not None:
                 agg.add_remote("acl-daemon", self.ice.obs_client())
             else:
-                uri = self._remote_obs_uri()
+                uri = self._remote_uri(ObservabilityServer.OBJECT_ID)
                 if uri is not None:
                     from repro.rpc.proxy import Proxy
 
@@ -739,34 +725,17 @@ class Session:
     def pull_remote_recorder(self) -> list[dict[str, Any]]:
         """Fetch the daemon half of the black box over the control channel.
 
-        Best-effort by design: when the channel is partitioned (often
-        exactly why a dump is happening) the client half must still be
-        written, so failures return an empty list instead of raising.
+        Best-effort (see :func:`~repro.obs.recorder.pull_remote_snapshots`):
+        failures return an empty list instead of raising.
         """
-        try:
-            if self.ice is not None:
-                proxy = self.ice.recorder_client()
-            else:
-                uri = self._remote_recorder_uri()
-                if uri is None:
-                    return []
-                from repro.rpc.proxy import Proxy
-
-                proxy = Proxy(uri, timeout=10.0)
-            try:
-                snapshot = proxy.Recorder_Dump()
-            finally:
-                proxy.close()
-        except Exception:  # noqa: BLE001 - dump must survive a dead channel
+        if self.ice is not None:
+            return pull_remote_snapshots(self.ice.recorder_client)
+        uri = self._remote_uri(FlightRecorderServer.OBJECT_ID)
+        if uri is None:
             return []
-        return [snapshot] if isinstance(snapshot, dict) else []
+        from repro.rpc.proxy import Proxy
 
-    def _remote_recorder_uri(self) -> str | None:
-        """Recorder URI next to the control object (URI mode only)."""
-        uri = self._control_uri
-        if not uri or "@" not in uri:
-            return None
-        return f"PYRO:{FlightRecorderServer.OBJECT_ID}@{uri.split('@', 1)[1]}"
+        return pull_remote_snapshots(lambda: Proxy(uri, timeout=10.0))
 
     def dump_flight(
         self, trigger: str, directory: str | Path | None = None

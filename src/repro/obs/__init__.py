@@ -24,8 +24,8 @@ This package is the measurement substrate:
 - :mod:`repro.obs.stream` — the :class:`TelemetryBus` live feed
   (``session.stream()`` merges the dgx-session and acl-daemon halves;
   the daemon half is polled via ``Telemetry_Poll``);
-- :mod:`repro.obs.profiler` — the :class:`SpanProfiler` transition
-  sampler behind ``profile=True`` (schema ``repro-profile-1``);
+- :mod:`repro.obs.profiler` — :func:`profiled` blocks and the
+  self-time profile behind ``profile=True`` (schema ``repro-profile-1``);
 - :mod:`repro.obs.baseline` — the :class:`BaselineStore` perf baselines
   feeding the ``perf`` health subsystem and ``BENCH_profile.json``;
 - :mod:`repro.obs.timeseries` — the :class:`TimeSeriesStore` of
@@ -94,7 +94,7 @@ from repro.obs.stream import (
     TelemetryServer,
     TelemetrySubscription,
 )
-from repro.obs.profiler import SpanProfiler, profile_tracer
+from repro.obs.profiler import profile_spans, profiled
 from repro.obs.baseline import BaselineStore
 from repro.obs.timeseries import TimeSeriesStore, is_daemon_side_metric
 from repro.obs.slo import SLOEngine, SLObjective, default_objectives
@@ -139,8 +139,8 @@ __all__ = [
     "TelemetryEvent",
     "TelemetryServer",
     "TelemetrySubscription",
-    "SpanProfiler",
-    "profile_tracer",
+    "profile_spans",
+    "profiled",
     "BaselineStore",
     "TimeSeriesStore",
     "is_daemon_side_metric",

@@ -218,6 +218,20 @@ class FlightRecorder:
         return path
 
 
+def pull_remote_snapshots(client_fn: Callable[[], Any]) -> list[dict[str, Any]]:
+    """The daemon half of the black box, via ``client_fn()``'s proxy to
+    :class:`FlightRecorderServer`. Best-effort: a partitioned channel is
+    often why a dump is happening, so any failure yields ``[]`` and the
+    client half is still written.
+    """
+    try:
+        with client_fn() as proxy:
+            snapshot = proxy.Recorder_Dump()
+    except Exception:  # noqa: BLE001 - the dump must survive a dead channel
+        return []
+    return [snapshot] if isinstance(snapshot, dict) else []
+
+
 def merge_snapshots(
     snapshots: "list[dict[str, Any]]", trigger: str
 ) -> dict[str, Any]:

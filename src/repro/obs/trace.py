@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import contextlib
 import threading
+import time
 import uuid
 from collections import deque
 from contextvars import ContextVar
@@ -94,6 +95,7 @@ class Span:
         "tracer",
         "_token",
         "_ended",
+        "_thread_cpu",
     )
 
     def __init__(
@@ -118,6 +120,9 @@ class Span:
         self.tracer = tracer
         self._token = None
         self._ended = False
+        #: Started inside a profiled block: (thread id, thread CPU at start),
+        #: then (thread id, CPU used; 0.0 if it ended on another thread).
+        self._thread_cpu: tuple[int, float] | None = None
 
     # -- identity -----------------------------------------------------------
     @property
@@ -170,14 +175,12 @@ class Span:
         elif self.status == SpanStatus.UNSET:
             self.status = SpanStatus.OK
         self.end_time = self.tracer.clock.now()
-        profiler = self.tracer.profiler
-        if profiler is not None:
-            # before the contextvar reset below: the profiler reads the
-            # current-span stack to attribute the closing interval
-            try:
-                profiler.on_end(self)
-            except Exception:  # noqa: BLE001 - profiling must never break runs
-                pass
+        if self._thread_cpu is not None:
+            thread, cpu = self._thread_cpu
+            self._thread_cpu = (
+                thread,
+                time.thread_time() - cpu if threading.get_ident() == thread else 0.0,
+            )
         if self._token is not None:
             try:
                 _CURRENT.reset(self._token)
@@ -250,10 +253,9 @@ class Tracer:
         self._sinks = Fanout()
         if exporter is not None:
             self._sinks.add(exporter)
-        #: Optional :class:`~repro.obs.profiler.SpanProfiler` sampling
-        #: this tracer's span transitions; set via ``profiler.attach()``.
-        #: One slot only — overlapping profilers would double-attribute.
-        self.profiler: Any | None = None
+        #: Open :func:`~repro.obs.profiler.profiled` blocks; while any is
+        #: open, new spans stamp their thread and thread CPU time.
+        self._profiling = 0
         self._spans: deque[Span] = deque(maxlen=max_spans)
         self._lock = threading.Lock()
 
@@ -287,12 +289,8 @@ class Tracer:
         )
         if self.service:
             span.attributes.setdefault("service", self.service)
-        profiler = self.profiler
-        if profiler is not None:
-            try:
-                profiler.on_start(span)
-            except Exception:  # noqa: BLE001 - profiling must never break runs
-                pass
+        if self._profiling:
+            span._thread_cpu = (threading.get_ident(), time.thread_time())
         return span
 
     def start_as_current_span(

@@ -199,6 +199,12 @@ class TCPListener(Listener):
         return TCPConnection(sock)
 
     def close(self) -> None:
+        # shutdown() first: on Linux, close() alone leaves a thread
+        # blocked in accept() asleep
+        try:
+            self._sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
         self._sock.close()
 
     def fileno(self) -> int:

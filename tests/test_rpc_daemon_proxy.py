@@ -1,6 +1,7 @@
 """Daemon + proxy integration over real TCP sockets."""
 
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -12,7 +13,8 @@ from repro.errors import (
     NamingError,
     RemoteInvocationError,
 )
-from repro.rpc import Daemon, Proxy, expose, oneway
+from repro.net.delay import delayed_loopback
+from repro.rpc import Daemon, Proxy, ThreadedDaemon, expose, oneway
 
 
 @expose
@@ -280,3 +282,21 @@ class TestLifecycle:
             uri = daemon.register(Service(), object_id="Ctx")
             with Proxy(uri) as proxy:
                 assert proxy.echo(1) == 1
+
+    @pytest.mark.parametrize("shape", ["threaded", "delayed-loopback"])
+    def test_thread_per_connection_daemon_shuts_down_promptly(self, shape):
+        # both serve from a thread blocked in accept(); closing the
+        # listener must wake it instead of waiting out the join deadline
+        if shape == "threaded":
+            daemon, factory = ThreadedDaemon(host="127.0.0.1"), None
+        else:
+            listener, factory = delayed_loopback(0.0)
+            daemon = Daemon(listener=listener)
+        uri = daemon.register(Service(), object_id="Svc")
+        daemon.start_background()
+        with Proxy(uri, connection_factory=factory) as proxy:
+            assert proxy.echo(1) == 1
+        start = time.monotonic()
+        daemon.shutdown()
+        assert time.monotonic() - start < 1.0
+        assert daemon.quiescent is True

@@ -36,7 +36,8 @@ import numpy as np
 
 from repro.errors import QuotaExceededError
 from repro.gateway import Cell, Gateway, SUCCEEDED, TenantSpec
-from repro.obs import BaselineStore, MetricsRegistry
+from repro.obs import MetricsRegistry
+from repro.obs.baseline import BaselineStore
 
 #: Four tenants, unequal weights AND unequal load.
 TENANTS = (

@@ -31,7 +31,10 @@ from pathlib import Path
 
 import repro
 from repro.core.cv_workflow import CVWorkflowSettings
-from repro.obs import BaselineStore, MetricsRegistry, SLObjective, TimeSeriesStore
+from repro.obs import MetricsRegistry
+from repro.obs.baseline import BaselineStore
+from repro.obs.slo import SLObjective
+from repro.obs.timeseries import TimeSeriesStore
 from repro.obs.stream import KIND_SLO
 from repro.rpc.context import reset_current_tenant, set_current_tenant
 
@@ -109,7 +112,7 @@ def test_rollup_slo_overhead_under_five_percent(capsys):
         result = session.run_workflow(settings=SETTINGS)
         evaluations = 0
         eval_start = time.perf_counter()
-        session.slo()  # one evaluation per run is the deployment cadence
+        session.slo_engine.evaluate()  # one evaluation per run is the deployment cadence
         evaluations += 1
         eval_cost_s = time.perf_counter() - eval_start
         observed_wall_s = time.perf_counter() - start
@@ -188,7 +191,7 @@ def test_error_burst_pages_everywhere_idle_tenant_stays_healthy(capsys):
         time.sleep(fast_window_s + 0.5)
         traffic("lab-burst", ok=0, errors=10)
 
-        statuses = session.slo()
+        statuses = session.slo_engine.evaluate()
         by_key = {(s["objective"], s["tenant"]): s for s in statuses}
         burst = by_key[("bench-availability", "lab-burst")]
         idle = by_key[("bench-availability", "lab-idle")]
@@ -212,7 +215,7 @@ def test_error_burst_pages_everywhere_idle_tenant_stays_healthy(capsys):
 
         # 2/4: the health report degrades the slo subsystem (fast-only
         # burn: degraded, not unhealthy — no objective fires both)
-        report = session.health()
+        report = session.health_engine.evaluate()
         assert report.subsystems["slo"].status == "degraded", report.subsystems[
             "slo"
         ]

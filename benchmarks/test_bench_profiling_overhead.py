@@ -30,12 +30,9 @@ from pathlib import Path
 
 import repro
 from repro.core.cv_workflow import CVWorkflowSettings
-from repro.obs import (
-    MetricsRegistry,
-    TelemetryBus,
-    Tracer,
-    profiled,
-)
+from repro.obs import MetricsRegistry, Tracer
+from repro.obs.profiler import profiled
+from repro.obs.stream import TelemetryBus
 
 SETTINGS = CVWorkflowSettings(e_step_v=0.01)
 BATCHES, SPANS_PER_BATCH = 20, 400

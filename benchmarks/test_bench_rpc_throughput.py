@@ -34,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.obs import BaselineStore
+from repro.obs.baseline import BaselineStore
 from repro.rpc import Daemon, Proxy, ThreadedDaemon, expose
 from repro.rpc.protocol import BINARY_VERSION, VERSION
 

@@ -30,7 +30,8 @@ from pathlib import Path
 import repro
 from repro.clock import VirtualClock
 from repro.core.config import SessionConfig
-from repro.obs import TraceIndex, TraceSampler, Tracer
+from repro.obs import Tracer
+from repro.obs.analysis import TraceIndex, TraceSampler
 from repro.obs.baseline import BaselineStore
 
 BATCHES, SPANS_PER_BATCH = 20, 400
@@ -84,9 +85,9 @@ def test_blame_and_overhead_on_e2e_workflow(capsys):
         # newest-first workflow-rooted query so neither the warm-up run
         # (cold connection establishment dominates it) nor stray
         # post-run RPC traces are the one judged
-        summaries = session.traces(op="workflow", limit=1)
+        summaries = session.trace_index.query(op="workflow", limit=1)
         assert summaries, "the index saw no traces"
-        blame = session.explain(summaries[0]["trace_id"])
+        blame = session.trace_index.explain(summaries[0]["trace_id"])
         assert blame is not None
 
         # -- second run for baseline verdicts ----------------------------

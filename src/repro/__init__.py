@@ -27,103 +27,30 @@ network model), :mod:`repro.serialio`, :mod:`repro.instruments`
 :mod:`repro.facility` (assembly), :mod:`repro.core` (workflows).
 """
 
-from repro.facility.ice import ElectrochemistryICE, ICEConfig
-from repro.facility.workstation import (
-    ElectrochemistryWorkstation,
-    WorkstationConfig,
-)
-from repro.core.cv_workflow import (
-    CVWorkflowResult,
-    CVWorkflowSettings,
-    build_cv_workflow,
-    run_cv_workflow,
-)
+from repro.facility.ice import ElectrochemistryICE
+from repro.core.cv_workflow import CVWorkflowSettings
 from repro.core.config import SessionConfig, TransportConfig
 from repro.core.facade import Session, connect
-from repro.errors import ReproError, code_table
-from repro.obs import (
-    BaselineStore,
-    FlightRecorder,
-    HealthEngine,
-    HealthReport,
-    MetricsRegistry,
-    SessionStream,
-    TelemetryBus,
-    TelemetryEvent,
-    Tracer,
-)
-from repro.core.campaign import (
-    Campaign,
-    campaign_journal_status,
-    scan_rate_strategy,
-    strategy_from_spec,
-    window_centering_strategy,
-)
-from repro.durability import (
-    CheckpointStore,
-    DedupJournal,
-    Journal,
-    LeaseRegistry,
-)
-from repro.gateway import (
-    Cell,
-    Gateway,
-    GatewayClient,
-    GatewayServer,
-    TenantSpec,
-)
-from repro.core.characterization_workflow import (
-    CharacterizationSettings,
-    CharacterizationResult,
-    run_characterization_workflow,
-)
-from repro.chemistry.voltammogram import Voltammogram
+from repro.errors import code_table
+from repro.core.campaign import Campaign, scan_rate_strategy
+from repro.gateway import Cell, Gateway, TenantSpec
 from repro.ml.normality import NormalityClassifier
 
 __version__ = "1.0.0"
 
 __all__ = [
     "ElectrochemistryICE",
-    "ICEConfig",
-    "ElectrochemistryWorkstation",
-    "WorkstationConfig",
-    "CVWorkflowResult",
     "CVWorkflowSettings",
-    "build_cv_workflow",
-    "run_cv_workflow",
     "Session",
     "SessionConfig",
     "TransportConfig",
     "connect",
-    "ReproError",
     "code_table",
-    "MetricsRegistry",
-    "Tracer",
-    "TelemetryBus",
-    "TelemetryEvent",
-    "SessionStream",
-    "BaselineStore",
-    "FlightRecorder",
-    "HealthEngine",
-    "HealthReport",
     "Campaign",
-    "campaign_journal_status",
     "scan_rate_strategy",
-    "strategy_from_spec",
-    "window_centering_strategy",
-    "Journal",
-    "CheckpointStore",
-    "DedupJournal",
-    "LeaseRegistry",
     "Gateway",
-    "GatewayClient",
-    "GatewayServer",
     "TenantSpec",
     "Cell",
-    "CharacterizationSettings",
-    "CharacterizationResult",
-    "run_characterization_workflow",
-    "Voltammogram",
     "NormalityClassifier",
     "__version__",
 ]

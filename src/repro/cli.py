@@ -57,7 +57,7 @@ def _report_session_telemetry(session, args: argparse.Namespace) -> None:
         )
         print(f"metrics: -> {path}")
     try:
-        report = session.health()
+        report = session.health_engine.evaluate()
     except Exception as exc:  # noqa: BLE001
         print(f"health: evaluation failed ({exc})", file=sys.stderr)
     else:
@@ -110,7 +110,7 @@ def _cmd_health(args: argparse.Namespace) -> int:
                 session.run_workflow(settings=settings)
             except Exception as exc:  # noqa: BLE001 - verdict still wanted
                 print(f"probe workflow failed: {exc}", file=sys.stderr)
-        report = session.health()
+        report = session.health_engine.evaluate()
         print(report.format_table())
         if report.status == "healthy":
             return 0

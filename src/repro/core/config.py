@@ -26,15 +26,11 @@ Example::
     policy = SessionConfig(resilient=True, require_healthy=True)
     with repro.connect(transport=transport, session=policy) as s:
         s.run_workflow()           # health-gated per the SessionConfig
-
-The legacy loose kwargs (``resilient=``, ``health_window_s=``) still
-work but emit :class:`DeprecationWarning`; they are mapped onto a
-config object internally.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 from repro.errors import WorkflowError
@@ -143,51 +139,3 @@ class SessionConfig:
                 "trace_slow_threshold_s must be > 0, got "
                 f"{self.trace_slow_threshold_s}"
             )
-
-
-def merge_legacy_kwargs(
-    session: SessionConfig | None,
-    *,
-    warn: bool = True,
-    **legacy: object,
-) -> SessionConfig:
-    """Fold deprecated loose kwargs into a :class:`SessionConfig`.
-
-    ``connect()`` calls this with whatever legacy keywords the caller
-    passed (``resilient=``, ``health_window_s=``); each one set emits a
-    :class:`DeprecationWarning` naming its replacement field. Passing a
-    legacy kwarg *and* an explicit ``session=`` config that disagree is
-    an error — silently preferring either would hide a bug at the call
-    site.
-    """
-    import warnings
-
-    provided = {k: v for k, v in legacy.items() if v is not None}
-    base = session if session is not None else SessionConfig()
-    if not provided:
-        return base
-    for name in provided:
-        if name not in ("resilient", "health_window_s"):
-            raise TypeError(f"unknown legacy session kwarg {name!r}")
-        if warn:
-            warnings.warn(
-                f"connect({name}=...) is deprecated; pass "
-                f"session=SessionConfig({name}=...) instead",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-    if session is not None:
-        conflicts = [
-            name
-            for name, value in provided.items()
-            if getattr(session, name) != value
-        ]
-        if conflicts:
-            raise WorkflowError(
-                "conflicting session configuration: "
-                + ", ".join(
-                    f"{n}= disagrees with session.{n}" for n in conflicts
-                )
-            )
-        return session
-    return replace(base, **provided)

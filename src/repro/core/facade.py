@@ -5,11 +5,12 @@ hands back a :class:`Session` that exposes every surface a scientist on
 the analysis host needs::
 
     import repro
+    from repro.analysis import characterize
 
     with repro.connect() as session:           # build a simulated ICE
         session.fill_cell(5.0)
         trace = session.run_cv()
-        print(session.analyze(trace).format_summary())
+        print(characterize(trace).format_summary())
         print(session.metrics.format_table())  # observability built in
 
     with repro.connect(ice) as session:        # attach to a running ICE
@@ -21,30 +22,21 @@ the data-channel mount, the workflow engine and — when the ecosystem is
 in-process — the daemons and simulated network, so a single run yields
 one connected trace from workflow task down to instrument command.
 
-``connect`` accepts three targets:
-
-- ``None``: build a fresh simulated :class:`ElectrochemistryICE` (the
-  session owns it and shuts it down on :meth:`Session.close`);
-- a running :class:`ElectrochemistryICE` (caller keeps ownership);
-- a ``PYRO:`` URI string for a real TCP control agent (two-machine
-  mode); the data channel needs ``data_uri`` in that case.
+``connect(target, **options)`` is ``Session(target, **options)``; the
+targets and options are documented once, on :class:`Session`.
 """
 
 from __future__ import annotations
 
 import tempfile
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
-from repro.core.config import (
-    SessionConfig,
-    TransportConfig,
-    merge_legacy_kwargs,
-)
+from repro.core.config import SessionConfig, TransportConfig
 from repro.errors import WorkflowError
 from repro.obs import JsonlSpanExporter, MetricsRegistry, Tracer
 from repro.obs.analysis import TraceIndex, TraceSampler
-from repro.obs.health import HealthEngine, HealthReport
+from repro.obs.health import HealthEngine
 from repro.obs.health import require_healthy as _gate_healthy
 from repro.obs.baseline import BaselineStore
 from repro.obs.recorder import (
@@ -62,18 +54,49 @@ from repro.obs.timeseries import (
     is_daemon_side_metric,
 )
 from repro.chemistry.voltammogram import Voltammogram
-from repro.analysis.metrics import CVMetrics, characterize
+from repro.durability.lease import LeaseServer
 from repro.ml.normality import NormalityClassifier, NormalityReport
 from repro.facility.client import ACLPyroClient
 from repro.facility.ice import ElectrochemistryICE
 from repro.facility.workstation import PORT_CELL, PORT_COLLECTOR
+from repro.rpc.naming import PyroURI, make_uri, parse_uri
+from repro.rpc.proxy import Proxy
 
 
 class Session:
     """Everything the remote scientist holds: client, data channel,
     workflow builder, metrics, and the notebook verbs.
 
-    Build via :func:`connect`; attributes of note:
+    Open one with :func:`connect` (same arguments) or directly.
+
+    Args:
+        target: ``None`` builds a fresh simulated
+            :class:`ElectrochemistryICE` that the session owns and shuts
+            down on :meth:`close`; a running :class:`ElectrochemistryICE`
+            stays the caller's; a ``PYRO:`` control-channel URI attaches
+            to a real TCP control agent (two-machine mode).
+        transport: :class:`~repro.core.config.TransportConfig` — call
+            timeout, control-channel pipelining window, data-channel
+            read-ahead depth, binary wire negotiation policy, the HMAC
+            secret. Defaults to ``TransportConfig()``.
+        session: :class:`~repro.core.config.SessionConfig` — resilience,
+            the pre-flight health gate, profiling, durable campaign
+            journaling, the health window. Defaults to
+            ``SessionConfig()``.
+        tracer: share an existing :class:`~repro.obs.Tracer`; a fresh
+            one is created otherwise.
+        metrics: share an existing :class:`~repro.obs.MetricsRegistry`;
+            a fresh one is created otherwise.
+        classifier: pre-trained normality classifier for
+            :meth:`check_normality`, workflows and campaigns.
+        config: :class:`~repro.facility.ice.ICEConfig` for the
+            ``target=None`` build; rejected with any other target.
+        data_uri: share URI for the data channel in URI mode.
+        cache_dir: local cache for fetched measurement files.
+        flight_dir: where flight-recorder black boxes are written
+            (defaults to ``<cache_dir>/flight-recorder``).
+        breaker: share a :class:`~repro.resilience.CircuitBreaker` for
+            the control channel; its trips dump a flight recording.
 
     Attributes:
         client: control-channel :class:`ACLPyroClient` (resilient by
@@ -83,19 +106,24 @@ class Session:
             connected by URI without a ``data_uri``.
         tracer: the session :class:`~repro.obs.Tracer`.
         metrics: the session :class:`~repro.obs.MetricsRegistry`.
-        recorder: the client-half :class:`~repro.obs.FlightRecorder`.
-        bus: the client-half :class:`~repro.obs.TelemetryBus` feeding
-            :meth:`stream` (DGX-side spans, metric deltas, health
+        recorder: the client-half
+            :class:`~repro.obs.recorder.FlightRecorder`.
+        bus: the client-half :class:`~repro.obs.stream.TelemetryBus`
+            feeding :meth:`stream` (DGX-side spans, metric deltas, health
             transitions; the ACL half streams through ``Telemetry_Poll``).
-        health_engine: the session :class:`~repro.obs.HealthEngine`
-            behind :meth:`health`.
+        health_engine: the session
+            :class:`~repro.obs.health.HealthEngine`; ``evaluate()``
+            returns the per-subsystem verdict report.
+        slo_engine: the session :class:`~repro.obs.slo.SLOEngine`;
+            ``evaluate()`` returns one status per (objective, tenant).
         trace_index: the bounded :class:`~repro.obs.analysis.TraceIndex`
-            behind :meth:`traces` / :meth:`explain` (always on).
+            (always on): ``query(**filters)`` lists trace summaries and
+            ``explain(trace_id)`` gives one trace's critical-path blame.
         sampler: the tail-based
             :class:`~repro.obs.analysis.TraceSampler`, or ``None``
             unless ``SessionConfig(trace_sample_budget=...)`` is set.
         flight_dir: where black-box dumps land (override per call or via
-            the ``flight_dir=`` connect argument).
+            the ``flight_dir=`` argument).
         ice: the in-process ecosystem, when there is one.
         lease_epoch: fencing epoch held after :meth:`reattach`; None
             until a lease is taken.
@@ -112,7 +140,6 @@ class Session:
         *,
         transport: TransportConfig | None = None,
         session: SessionConfig | None = None,
-        resilient: bool | None = None,
         tracer: Tracer | None = None,
         metrics: MetricsRegistry | None = None,
         classifier: NormalityClassifier | None = None,
@@ -120,17 +147,31 @@ class Session:
         data_uri: str | None = None,
         cache_dir: str | Path | None = None,
         flight_dir: str | Path | None = None,
-        health_window_s: float | None = None,
         breaker: Any = None,
     ):
+        # resolve the target before wiring observability, so a target
+        # that is rejected leaves nothing on the caller's tracer/registry
+        self.ice: ElectrochemistryICE | None = None
+        self._control_uri: PyroURI | None = None
+        if isinstance(target, ElectrochemistryICE):
+            self.ice = target
+        elif isinstance(target, str):
+            self._control_uri = parse_uri(target)
+        elif target is not None:
+            raise WorkflowError(
+                f"connect() target must be an ICE, a PYRO: URI or None, "
+                f"not {target!r}"
+            )
+        if target is not None and config is not None:
+            raise WorkflowError("config is only valid when building an ICE")
+        self._owns_ice = target is None
+        if self._owns_ice:
+            self.ice = ElectrochemistryICE.build(config)
+
         self.transport_config = (
             transport if transport is not None else TransportConfig()
         )
-        self.session_config = merge_legacy_kwargs(
-            session, resilient=resilient, health_window_s=health_window_s
-        )
-        self._owns_ice = False
-        self.ice: ElectrochemistryICE | None = None
+        self.session_config = session if session is not None else SessionConfig()
         self.tracer = tracer if tracer is not None else Tracer("dgx-session")
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._classifier = classifier
@@ -138,6 +179,8 @@ class Session:
         self._jkem_ready = False
         self._characterization = None
         self._gateway_client = None
+        self._aggregator: ObsAggregator | None = None
+        self._scrape_proxy: Proxy | None = None
         self.lease_epoch: int | None = None
         # client-half black box: DGX-side spans (the daemon half records
         # its own via the ICE) plus the session's metric snapshots
@@ -170,7 +213,8 @@ class Session:
         # the sampler's kept traces when there is a sampler (dropped
         # traces never reach the black box or live feed), while the
         # TraceIndex takes every finished span from the tracer itself —
-        # explain() must never miss a trace. close() removes all of them.
+        # its explain() must never miss a trace. close() removes all of
+        # them.
         self.sampler: TraceSampler | None = None
         self.trace_index = TraceIndex(
             clock=self.tracer.clock, metrics=self.metrics
@@ -192,23 +236,6 @@ class Session:
             self.recorder.attach_tracer(kept, only=dgx_side),
             self.bus.attach_tracer(kept, only=dgx_side),
         ]
-        self._aggregator: ObsAggregator | None = None
-
-        self._control_uri: str | None = None
-        if target is None:
-            self.ice = ElectrochemistryICE.build(config)
-            self._owns_ice = True
-        elif isinstance(target, ElectrochemistryICE):
-            self.ice = target
-        elif isinstance(target, str):
-            self._control_uri = target
-            if config is not None:
-                raise WorkflowError("config is only valid when building an ICE")
-        else:
-            raise WorkflowError(
-                f"connect() target must be an ICE, a PYRO: URI or None, "
-                f"not {target!r}"
-            )
 
         if self.ice is not None:
             # one tracer on both "facilities": daemon dispatch spans land
@@ -239,7 +266,7 @@ class Session:
             from repro.resilience import RetryPolicy
 
             self.client = ACLPyroClient.from_uri(
-                target,
+                self._control_uri,
                 timeout=self.transport_config.timeout,
                 secret=self.transport_config.secret,
                 retry_policy=(
@@ -253,7 +280,6 @@ class Session:
             )
             self.datachannel = None
             if data_uri is not None:
-                from repro.rpc.proxy import Proxy
                 from repro.datachannel.mount import Mount
 
                 self._cache = Path(
@@ -307,10 +333,14 @@ class Session:
                 f"breaker-open-{b.name}"
             )
 
-    # -- back-compat alias (RemoteSession called it ``mount``) -------------
-    @property
-    def mount(self):
-        return self.datachannel
+    def _sibling(self, object_id: str) -> Callable[[], Proxy]:
+        """Dialler of the daemon-half service ``object_id`` beside the
+        control object (URI mode). It dials with the control channel's
+        secret and a 10 s timeout: side channels run inside teardowns
+        and polling loops and must fail fast."""
+        uri = make_uri(object_id, self._control_uri.host, self._control_uri.port)
+        secret = self.transport_config.secret
+        return lambda: Proxy(uri, timeout=10.0, secret=secret)
 
     # -- lifecycle -----------------------------------------------------------
     def close(self) -> None:
@@ -329,6 +359,8 @@ class Session:
             if self.datachannel is not None:
                 self.datachannel.unmount()
             self.client.close()
+            if self._scrape_proxy is not None:
+                self._scrape_proxy.close()
             if self._gateway_client is not None:
                 self._gateway_client.close()
             if self._characterization is not None:
@@ -359,7 +391,13 @@ class Session:
 
         Returns the epoch now held (also on :attr:`lease_epoch`).
         """
-        epoch = self._acquire_lease_epoch(resource, holder)
+        dial = (
+            self.ice.lease_client
+            if self.ice is not None
+            else self._sibling(LeaseServer.OBJECT_ID)
+        )
+        with dial() as proxy:
+            epoch = int(proxy.Lease_Acquire(resource, holder))
         self.client.set_lease(resource, epoch)
         self.lease_epoch = epoch
         # instrument init state is unknown after a takeover; re-init lazily
@@ -370,32 +408,40 @@ class Session:
         ).inc(resource=resource)
         return epoch
 
-    def _acquire_lease_epoch(self, resource: str, holder: str) -> int:
-        if self.ice is not None:
-            proxy = self.ice.lease_client()
-        else:
-            from repro.durability import LeaseServer
-            from repro.rpc.proxy import Proxy
-
-            uri = self._remote_uri(LeaseServer.OBJECT_ID)
-            if uri is None:
-                raise WorkflowError(
-                    "reattach() needs an in-process ICE or a control URI"
-                )
-            proxy = Proxy(uri, timeout=10.0)
-        try:
-            return int(proxy.Lease_Acquire(resource, holder))
-        finally:
-            proxy.close()
-
-    def _remote_uri(self, object_id: str) -> str | None:
-        """URI of ``object_id`` next to the control object (URI mode only)."""
-        uri = self._control_uri
-        if not uri or "@" not in uri:
-            return None
-        return f"PYRO:{object_id}@{uri.split('@', 1)[1]}"
-
     # -- workflows -----------------------------------------------------------
+    def _inherited(self, what: str, **given: Any) -> dict[str, Any]:
+        """``given`` with each None replaced by what this session passes
+        on: its classifier and dump directory, and the
+        :class:`~repro.core.config.SessionConfig` defaults. Workflows and
+        campaigns run on the in-process ICE only."""
+        if self.ice is None:
+            raise WorkflowError(
+                f"{what}() needs an in-process ICE; connect() was given a URI"
+            )
+        config = self.session_config
+        inherited = dict(
+            classifier=self._classifier,
+            flight_dir=self.flight_dir,
+            require_healthy=config.require_healthy,
+            profile=config.profile,
+            journal_dir=config.journal_dir,
+        )
+        return {k: inherited[k] if v is None else v for k, v in given.items()}
+
+    def _cv_workflow(self, what: str, assemble, settings: Any, **given: Any):
+        """Gate on health, then build or run one CV workflow."""
+        options = self._inherited(what, **given)
+        if options.pop("require_healthy"):
+            _gate_healthy(self.health_engine, what="workflow")
+        return assemble(
+            self.ice,
+            settings=settings,
+            tracer=self.tracer,
+            metrics=self.metrics,
+            flight_recorder=self.recorder,
+            **options,
+        )
+
     def workflow(
         self,
         settings: Any = None,
@@ -405,7 +451,7 @@ class Session:
     ):
         """Build the paper's five-task CV workflow, observability wired.
 
-        ``require_healthy=True`` evaluates :meth:`health` first and
+        ``require_healthy=True`` evaluates the health engine first and
         raises :class:`~repro.errors.HealthGateError` on ``unhealthy``
         (the pre-flight gate); None defers to the session's
         :class:`~repro.core.config.SessionConfig`. A safe-state teardown
@@ -414,22 +460,13 @@ class Session:
         """
         from repro.core.cv_workflow import build_cv_workflow
 
-        if self.ice is None:
-            raise WorkflowError(
-                "workflow() needs an in-process ICE; connect() was given a URI"
-            )
-        if require_healthy is None:
-            require_healthy = self.session_config.require_healthy
-        if require_healthy:
-            _gate_healthy(self.health_engine, what="workflow")
-        return build_cv_workflow(
-            self.ice,
-            settings=settings,
-            classifier=classifier if classifier is not None else self._classifier,
-            tracer=self.tracer,
-            metrics=self.metrics,
-            flight_recorder=self.recorder,
-            flight_dir=flight_dir if flight_dir is not None else self.flight_dir,
+        return self._cv_workflow(
+            "workflow",
+            build_cv_workflow,
+            settings,
+            classifier=classifier,
+            require_healthy=require_healthy,
+            flight_dir=flight_dir,
         )
 
     def run_workflow(
@@ -450,24 +487,13 @@ class Session:
         """
         from repro.core.cv_workflow import run_cv_workflow
 
-        if self.ice is None:
-            raise WorkflowError(
-                "run_workflow() needs an in-process ICE; connect() was given a URI"
-            )
-        if require_healthy is None:
-            require_healthy = self.session_config.require_healthy
-        if profile is None:
-            profile = self.session_config.profile
-        if require_healthy:
-            _gate_healthy(self.health_engine, what="workflow")
-        return run_cv_workflow(
-            self.ice,
-            settings=settings,
-            classifier=classifier if classifier is not None else self._classifier,
-            tracer=self.tracer,
-            metrics=self.metrics,
-            flight_recorder=self.recorder,
-            flight_dir=flight_dir if flight_dir is not None else self.flight_dir,
+        return self._cv_workflow(
+            "run_workflow",
+            run_cv_workflow,
+            settings,
+            classifier=classifier,
+            require_healthy=require_healthy,
+            flight_dir=flight_dir,
             profile=profile,
         )
 
@@ -487,18 +513,16 @@ class Session:
         """
         from repro.core.campaign import Campaign
 
-        if self.ice is None:
-            raise WorkflowError(
-                "campaign() needs an in-process ICE; connect() was given a URI"
-            )
-        build = dict(
-            classifier=self._classifier,
-            require_healthy=self.session_config.require_healthy,
-            health_engine=self.health_engine,
-            flight_recorder=self.recorder,
-            flight_dir=self.flight_dir,
-            profile=self.session_config.profile,
-            journal_dir=self.session_config.journal_dir,
+        build = self._inherited(
+            "campaign",
+            classifier=None,
+            flight_dir=None,
+            require_healthy=None,
+            profile=None,
+            journal_dir=None,
+        )
+        build.update(
+            health_engine=self.health_engine, flight_recorder=self.recorder
         )
         build.update(kwargs)
         return Campaign(ice=self.ice, strategy=strategy, **build)
@@ -516,11 +540,11 @@ class Session:
         """Attach this session to a facility gateway as one tenant.
 
         ``target`` is a :class:`~repro.gateway.Gateway` object
-        (in-process) or a ``PYRO:ACL_Gateway@host:port`` URI. After
-        this, :meth:`submit_job` / :meth:`job_status` /
-        :meth:`cancel_job` / :meth:`poll_jobs` go through the gateway's
-        queue under this tenant's identity, quota and fair share.
-        Returns the underlying :class:`~repro.gateway.GatewayClient`.
+        (in-process) or a ``PYRO:ACL_Gateway@host:port`` URI. Returns
+        the :class:`~repro.gateway.GatewayClient`: its ``status``,
+        ``cancel`` and ``poll`` go through the gateway's queue under
+        this tenant's identity, quota and fair share, as does
+        :meth:`submit_job`.
         """
         from repro.gateway.client import GatewayClient
 
@@ -537,13 +561,6 @@ class Session:
                 secret if secret is not None else self.transport_config.secret
             ),
         )
-        return self._gateway_client
-
-    def _require_gateway(self):
-        if self._gateway_client is None:
-            raise WorkflowError(
-                "no gateway attached; call session.use_gateway(...) first"
-            )
         return self._gateway_client
 
     def submit_job(
@@ -566,30 +583,15 @@ class Session:
                 "submit_job needs a strategy with a .spec attribute or a "
                 f"spec dict, not {strategy!r}"
             )
-        return self._require_gateway().submit(
+        if self._gateway_client is None:
+            raise WorkflowError(
+                "no gateway attached; call session.use_gateway(...) first"
+            )
+        return self._gateway_client.submit(
             {"strategy": spec, "max_rounds": max_rounds}, priority=priority
         )
 
-    def job_status(self, job_id: str) -> dict[str, Any]:
-        """Current gateway view of one of this tenant's jobs."""
-        return self._require_gateway().status(job_id)
-
-    def cancel_job(self, job_id: str) -> dict[str, Any]:
-        """Cancel a queued job now, or a running one at its next round."""
-        return self._require_gateway().cancel(job_id)
-
-    def poll_jobs(
-        self, cursor: int = 0, max_events: int = 256
-    ) -> dict[str, Any]:
-        """Cursor-poll this tenant's job lifecycle events
-        (``repro-jobs-1``; same cursor/gap contract as telemetry)."""
-        return self._require_gateway().poll(cursor=cursor, max_events=max_events)
-
     # -- observability ---------------------------------------------------------
-    def summarize(self) -> dict[str, Any]:
-        """Session-wide rollup: span timings and metric values."""
-        return {"spans": self.tracer.summarize(), "metrics": self.metrics.summarize()}
-
     def stream(
         self, capacity: int = 1024, max_remote_events: int = 256
     ) -> SessionStream:
@@ -604,35 +606,16 @@ class Session:
         (synthetic ``stream.*`` events, ``obs.stream.dropped_total``)
         instead of hanging it. Close when done (context manager).
         """
-        if self.ice is not None:
-            remote_fn = self.ice.telemetry_client
-        else:
-            uri = self._remote_uri(TelemetryServer.OBJECT_ID)
-            if uri is None:
-                remote_fn = None
-            else:
-
-                def remote_fn():
-                    from repro.rpc.proxy import Proxy
-
-                    return Proxy(uri, timeout=10.0)
-
         return SessionStream(
             self.bus,
-            remote_client_fn=remote_fn,
+            remote_client_fn=(
+                self.ice.telemetry_client
+                if self.ice is not None
+                else self._sibling(TelemetryServer.OBJECT_ID)
+            ),
             capacity=capacity,
             max_remote_events=max_remote_events,
         )
-
-    def slo(self) -> list[dict[str, Any]]:
-        """Evaluate every objective now; one status per (objective, tenant).
-
-        Each status carries the SLI and burn rate over the fast and slow
-        windows plus the firing alert windows (empty list when healthy).
-        Alert *transitions* also land on the telemetry bus as ``slo``
-        events and in :meth:`health` as the ``slo`` subsystem.
-        """
-        return self.slo_engine.evaluate()
 
     def scrape(
         self,
@@ -660,22 +643,22 @@ class Session:
     def aggregator(self) -> ObsAggregator:
         """The session's cross-facility scrape aggregator (lazy, cached).
 
-        Sources: the local session-half store, plus the in-process ICE's
-        daemon-half store (or the remote ``ACL_Observability`` object in
-        URI mode). Cursors persist across :meth:`top` calls, so each
-        refresh pulls only what is new.
+        Sources: the local session-half store, plus the daemon-half
+        ``ACL_Observability`` object of the in-process ICE or, in URI
+        mode, beside the control object. Cursors persist across
+        :meth:`top` calls, so each refresh pulls only what is new;
+        :meth:`close` closes the daemon-half proxy.
         """
         if self._aggregator is None:
             agg = ObsAggregator()
             agg.add_store("dgx-session", self.timeseries)
-            if self.ice is not None:
-                agg.add_remote("acl-daemon", self.ice.obs_client())
-            else:
-                uri = self._remote_uri(ObservabilityServer.OBJECT_ID)
-                if uri is not None:
-                    from repro.rpc.proxy import Proxy
-
-                    agg.add_remote("acl-daemon", Proxy(uri, timeout=10.0))
+            dial = (
+                self.ice.obs_client
+                if self.ice is not None
+                else self._sibling(ObservabilityServer.OBJECT_ID)
+            )
+            self._scrape_proxy = dial()
+            agg.add_remote("acl-daemon", self._scrape_proxy)
             self._aggregator = agg
         return self._aggregator
 
@@ -707,7 +690,7 @@ class Session:
         return store
 
     def track_baseline(self, store: "BaselineStore | str | Path") -> BaselineStore:
-        """Judge future :meth:`health` calls against a perf baseline.
+        """Judge future health evaluations against a perf baseline.
 
         Accepts a :class:`~repro.obs.baseline.BaselineStore` or a path
         to a saved one; registers the ``perf`` probe on the session's
@@ -718,24 +701,17 @@ class Session:
         self.health_engine.track_baseline(store, self.tracer)
         return store
 
-    def health(self) -> HealthReport:
-        """Evaluate the health rules now; returns the verdict report."""
-        return self.health_engine.evaluate()
-
     def pull_remote_recorder(self) -> list[dict[str, Any]]:
         """Fetch the daemon half of the black box over the control channel.
 
         Best-effort (see :func:`~repro.obs.recorder.pull_remote_snapshots`):
         failures return an empty list instead of raising.
         """
-        if self.ice is not None:
-            return pull_remote_snapshots(self.ice.recorder_client)
-        uri = self._remote_uri(FlightRecorderServer.OBJECT_ID)
-        if uri is None:
-            return []
-        from repro.rpc.proxy import Proxy
-
-        return pull_remote_snapshots(lambda: Proxy(uri, timeout=10.0))
+        return pull_remote_snapshots(
+            self.ice.recorder_client
+            if self.ice is not None
+            else self._sibling(FlightRecorderServer.OBJECT_ID)
+        )
 
     def dump_flight(
         self, trigger: str, directory: str | Path | None = None
@@ -754,27 +730,6 @@ class Session:
             for span in spans:
                 export(span)
         return len(spans)
-
-    def traces(self, **filters: Any) -> list[dict[str, Any]]:
-        """Query the session trace index (see :meth:`TraceIndex.query`).
-
-        Filters: ``op=`` (span-name prefix anywhere in the trace),
-        ``tenant=``, ``min_duration_s=``, ``error=``, ``limit=``.
-        Summaries come back newest first.
-        """
-        return self.trace_index.query(**filters)
-
-    def explain(self, trace_id: str) -> dict[str, Any] | None:
-        """Critical-path blame table for one indexed trace.
-
-        Answers "why was *this* run slow": wall time attributed to the
-        innermost blocking span across both facility halves (one shared
-        tracer in-process, so daemon dispatch and instrument spans land
-        in the same tree). Returns the :func:`~repro.obs.analysis.
-        critical_path` document, or None for an unknown trace — render
-        with :func:`~repro.obs.analysis.format_blame`.
-        """
-        return self.trace_index.explain(trace_id)
 
     # -- liquid handling -------------------------------------------------------
     def _ensure_jkem(self) -> None:
@@ -801,9 +756,6 @@ class Session:
         if purge_sccm > 0:
             client.call_Set_Flow_MFC(1, purge_sccm)
         return client.call_Cell_Status()
-
-    def cell_status(self) -> dict[str, Any]:
-        return self.client.call_Cell_Status()
 
     # -- measurement ----------------------------------------------------------
     def _ensure_sp200(self, channel: int) -> None:
@@ -936,10 +888,6 @@ class Session:
         return Chromatogram.from_dict(payload)
 
     # -- analysis ------------------------------------------------------------
-    def analyze(self, trace: Voltammogram) -> CVMetrics:
-        """Peak analysis of a fetched trace."""
-        return characterize(trace)
-
     def check_normality(self, trace: Voltammogram) -> NormalityReport:
         """ML screen; trains the default classifier on first use."""
         if self._classifier is None:
@@ -948,66 +896,7 @@ class Session:
 
 
 def connect(
-    target: ElectrochemistryICE | str | None = None,
-    *,
-    transport: TransportConfig | None = None,
-    session: SessionConfig | None = None,
-    resilient: bool | None = None,
-    tracer: Tracer | None = None,
-    metrics: MetricsRegistry | None = None,
-    classifier: NormalityClassifier | None = None,
-    config: Any = None,
-    data_uri: str | None = None,
-    cache_dir: str | Path | None = None,
-    flight_dir: str | Path | None = None,
-    health_window_s: float | None = None,
-    breaker: Any = None,
+    target: ElectrochemistryICE | str | None = None, **options: Any
 ) -> Session:
-    """Open a :class:`Session` against an ICE, a URI, or a fresh build.
-
-    Args:
-        target: ``None`` (build a simulated ecosystem, owned by the
-            session), a running :class:`ElectrochemistryICE`, or a
-            ``PYRO:`` control-channel URI.
-        transport: :class:`~repro.core.config.TransportConfig` — call
-            timeout, control-channel pipelining window, data-channel
-            read-ahead depth, binary wire negotiation policy. Defaults
-            to ``TransportConfig()``.
-        session: :class:`~repro.core.config.SessionConfig` — resilience,
-            the pre-flight health gate, profiling, durable campaign
-            journaling, the health window. Defaults to
-            ``SessionConfig()``.
-        resilient: deprecated; pass
-            ``session=SessionConfig(resilient=...)`` instead.
-        tracer: share an existing :class:`~repro.obs.Tracer`; a fresh
-            one is created otherwise.
-        metrics: share an existing :class:`~repro.obs.MetricsRegistry`;
-            a fresh one is created otherwise.
-        classifier: pre-trained normality classifier for
-            :meth:`Session.check_normality` and workflows.
-        config: :class:`~repro.facility.ice.ICEConfig` for the
-            ``target=None`` build.
-        data_uri: share URI for the data channel in URI mode.
-        cache_dir: local cache for fetched measurement files.
-        flight_dir: where flight-recorder black boxes are written
-            (defaults to ``<cache_dir>/flight-recorder``).
-        health_window_s: deprecated; pass
-            ``session=SessionConfig(health_window_s=...)`` instead.
-        breaker: share a :class:`~repro.resilience.CircuitBreaker` for
-            the control channel; its trips dump a flight recording.
-    """
-    return Session(
-        target,
-        transport=transport,
-        session=session,
-        resilient=resilient,
-        tracer=tracer,
-        metrics=metrics,
-        classifier=classifier,
-        config=config,
-        data_uri=data_uri,
-        cache_dir=cache_dir,
-        flight_dir=flight_dir,
-        health_window_s=health_window_s,
-        breaker=breaker,
-    )
+    """Open a :class:`Session` on ``target``; ``options`` are its keywords."""
+    return Session(target, **options)

@@ -17,7 +17,8 @@ This package is the measurement substrate:
   the ``summarize`` API the benchmarks print;
 - :mod:`repro.obs.health` — the :class:`HealthEngine` that turns the
   raw telemetry into per-subsystem healthy/degraded/unhealthy verdicts
-  (``session.health()`` and the ``require_healthy=True`` gate);
+  (``session.health_engine.evaluate()`` and the ``require_healthy=True``
+  gate);
 - :mod:`repro.obs.recorder` — the :class:`FlightRecorder` black box
   dumped on safe-state teardowns, abnormal rounds, breaker trips and
   fleet-cell failures (schema ``repro-flightrec-1``);
@@ -48,110 +49,13 @@ This package is the measurement substrate:
 Everything is optional and off by default: components accept
 ``tracer=None`` / ``metrics=None`` and skip all bookkeeping when unset,
 so the untraced hot path stays untouched.
+
+The package namespace holds only the three names every layer wires
+through; everything else is imported from its defining module.
 """
 
-from repro.obs.trace import (
-    Span,
-    SpanContext,
-    SpanStatus,
-    Tracer,
-    child_span,
-    current_span,
-    extract_context,
-    use_span,
-)
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    LATENCY_BUCKETS_S,
-    MetricsRegistry,
-    bucket_quantile,
-)
-from repro.obs.health import (
-    HealthEngine,
-    HealthReport,
-    HealthThresholds,
-    SubsystemHealth,
-)
-from repro.obs.recorder import (
-    FlightRecorder,
-    FlightRecorderServer,
-    merge_snapshots,
-)
-from repro.obs.exporters import (
-    ConsoleSpanExporter,
-    JsonlSpanExporter,
-    format_span_table,
-    read_jsonl_spans,
-    summarize_spans,
-    trace_tree,
-)
-from repro.obs.stream import (
-    SessionStream,
-    TelemetryBus,
-    TelemetryEvent,
-    TelemetryServer,
-    TelemetrySubscription,
-)
-from repro.obs.profiler import profile_spans, profiled
-from repro.obs.baseline import BaselineStore
-from repro.obs.timeseries import TimeSeriesStore, is_daemon_side_metric
-from repro.obs.slo import SLOEngine, SLObjective, default_objectives
-from repro.obs.scrape import ObsAggregator, ObservabilityServer, format_top
-from repro.obs.analysis import (
-    TraceIndex,
-    TraceSampler,
-    critical_path,
-    format_blame,
-)
+from repro.obs.trace import Tracer
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.exporters import JsonlSpanExporter
 
-__all__ = [
-    "Span",
-    "SpanContext",
-    "SpanStatus",
-    "Tracer",
-    "child_span",
-    "current_span",
-    "extract_context",
-    "use_span",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "LATENCY_BUCKETS_S",
-    "MetricsRegistry",
-    "bucket_quantile",
-    "HealthEngine",
-    "HealthReport",
-    "HealthThresholds",
-    "SubsystemHealth",
-    "FlightRecorder",
-    "FlightRecorderServer",
-    "merge_snapshots",
-    "ConsoleSpanExporter",
-    "JsonlSpanExporter",
-    "format_span_table",
-    "read_jsonl_spans",
-    "summarize_spans",
-    "trace_tree",
-    "SessionStream",
-    "TelemetryBus",
-    "TelemetryEvent",
-    "TelemetryServer",
-    "TelemetrySubscription",
-    "profile_spans",
-    "profiled",
-    "BaselineStore",
-    "TimeSeriesStore",
-    "is_daemon_side_metric",
-    "SLOEngine",
-    "SLObjective",
-    "default_objectives",
-    "ObsAggregator",
-    "ObservabilityServer",
-    "format_top",
-    "TraceIndex",
-    "TraceSampler",
-    "critical_path",
-    "format_blame",
-]
+__all__ = ["Tracer", "MetricsRegistry", "JsonlSpanExporter"]

@@ -25,9 +25,10 @@ still inside ``window_s`` (the construction-time snapshot seeds the
 window, so a single end-of-run evaluation judges the whole run).
 Gauges are read live; histogram quantiles are lifetime aggregates.
 
-``session.health()`` is the one-call surface; ``require_healthy=True``
-on workflows and campaigns turns the verdict into a pre-flight gate
-(:class:`~repro.errors.HealthGateError` on ``unhealthy``).
+``session.health_engine.evaluate()`` is the one-call surface;
+``require_healthy=True`` on workflows and campaigns turns the verdict
+into a pre-flight gate (:class:`~repro.errors.HealthGateError` on
+``unhealthy``).
 """
 
 from __future__ import annotations

@@ -250,7 +250,9 @@ class Proxy:
         daemon answers RESPONSE ``{"version": N}``; a daemon predating
         the handshake chokes on the unknown frame type, answers ERROR
         and drops the connection — that outcome *is* the downgrade
-        signal, so the proxy settles on v1 and redials. Transport
+        signal, so the proxy settles on v1 and redials. An HMAC daemon
+        answers with its CHALLENGE, which a proxy without a secret cannot
+        meet: :class:`~repro.errors.AuthenticationError`. Transport
         failures that are not a clean ERROR/close (timeouts, routing)
         propagate: a partition must look like a partition, not like an
         old peer.
@@ -263,6 +265,11 @@ class Proxy:
             raise
         except _errors_module.ConnectionClosedError:
             reply = None
+        if reply is not None and reply.msg_type is MessageType.CHALLENGE:
+            conn.close()
+            raise _errors_module.AuthenticationError(
+                "daemon requires authentication; no secret configured"
+            )
         if reply is not None and reply.msg_type is MessageType.RESPONSE:
             agreed = VERSION
             if isinstance(reply.body, dict):

@@ -83,6 +83,30 @@ class TestCommands:
         assert "task." in captured.out
 
 
+class TestHealth:
+    @staticmethod
+    def _verdicts(out: str) -> dict[str, str]:
+        rows = [line.split() for line in out.splitlines()[2:] if line.strip()]
+        return {row[0]: row[1] for row in rows}
+
+    def test_probe_prints_every_subsystem_and_overall(self, capsys):
+        from repro.obs.health import SUBSYSTEMS
+
+        code = main(["health", "--e-step", "0.01"])
+        captured = capsys.readouterr()
+        assert code == 0
+        verdicts = self._verdicts(captured.out)
+        assert set(verdicts) == set(SUBSYSTEMS) | {"overall"}
+        assert len(SUBSYSTEMS) == 10
+        assert verdicts["overall"] == "healthy"
+
+    def test_no_probe_exits_zero(self, capsys):
+        code = main(["health", "--no-probe"])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert self._verdicts(captured.out)["overall"] == "healthy"
+
+
 class TestWatchParser:
     def test_watch_defaults(self):
         args = build_parser().parse_args(["watch"])

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.analysis import estimate_diffusion_coefficient
+from repro.analysis import characterize, estimate_diffusion_coefficient
 from repro.chemistry.species import FERROCENE
 from repro.core.campaign import (
     Campaign,
@@ -93,7 +93,7 @@ class TestSessionNotebookFlow:
             assert status["volume_ml"] == pytest.approx(5.0)
             assert status["purge_sccm"] == 25.0
             trace = session.run_cv(e_step_v=0.002)
-            metrics = session.analyze(trace)
+            metrics = characterize(trace)
             assert metrics.e_half_v == pytest.approx(0.40, abs=0.01)
 
     def test_session_normality_with_injected_classifier(
@@ -115,7 +115,7 @@ class TestSessionNotebookFlow:
 
     def test_cell_status_passthrough(self, ice):
         with repro.connect(ice) as session:
-            assert session.cell_status()["volume_ml"] == 0.0
+            assert session.client.call_Cell_Status()["volume_ml"] == 0.0
 
 
 class TestKineticsTargetingCampaign:

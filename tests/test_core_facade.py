@@ -1,7 +1,8 @@
-"""The ``repro.connect()`` facade, its config objects, and legacy kwargs."""
+"""The ``repro.connect()`` facade and its config objects."""
 
 from __future__ import annotations
 
+import time
 import warnings
 
 import pytest
@@ -10,10 +11,33 @@ import repro
 from repro.core.config import SessionConfig, TransportConfig
 from repro.core.cv_workflow import CVWorkflowSettings
 from repro.errors import ReproError, WorkflowError
-from repro.obs import MetricsRegistry, Tracer, read_jsonl_spans
+from repro.facility.ice import ElectrochemistryICE, ICEConfig
+from repro.obs import MetricsRegistry, Tracer
+from repro.obs.exporters import read_jsonl_spans
 from repro.obs.stream import KIND_SPAN
 
 FAST = CVWorkflowSettings(e_step_v=0.002)
+SECRET = b"lab-secret"
+
+
+def _eventually(predicate, timeout_s: float = 5.0) -> bool:
+    deadline = time.monotonic() + timeout_s
+    while not predicate():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.01)
+    return True
+
+
+@pytest.fixture
+def secret_ice():
+    """A TCP ICE whose control daemon demands HMAC auth, as
+    ``repro-ice serve --secret`` builds it."""
+    ecosystem = ElectrochemistryICE.build(
+        ICEConfig(transport="tcp", control_secret=SECRET)
+    )
+    yield ecosystem
+    ecosystem.shutdown()
 
 
 class TestConnect:
@@ -21,7 +45,6 @@ class TestConnect:
         with repro.connect(ice) as session:
             assert session.client is not None
             assert session.datachannel is not None
-            assert session.mount is session.datachannel  # back-compat alias
             assert isinstance(session.tracer, Tracer)
             assert isinstance(session.metrics, MetricsRegistry)
             wf = session.workflow()
@@ -57,9 +80,9 @@ class TestConnect:
     def test_summarize_covers_spans_and_metrics(self, ice):
         with repro.connect(ice) as session:
             session.client.call_Status_JKem()
-        summary = session.summarize()
-        assert "rpc.call.Status_JKem" in summary["spans"]
-        assert any(k.startswith("rpc.client.calls_total") for k in summary["metrics"])
+        spans, metrics = session.tracer.summarize(), session.metrics.summarize()
+        assert "rpc.call.Status_JKem" in spans
+        assert any(k.startswith("rpc.client.calls_total") for k in metrics)
 
     def test_export_trace_writes_readable_jsonl(self, ice, tmp_path):
         path = tmp_path / "trace.jsonl"
@@ -82,7 +105,7 @@ class TestConnect:
                 e_begin_v=0.2, e_vertex_v=0.8, scan_rate_v_s=0.1
             )
             assert len(trace) > 0
-            status = session.cell_status()
+            status = session.client.call_Cell_Status()
             assert "volume_ml" in status
 
 
@@ -159,6 +182,50 @@ class TestObservabilityLifecycle:
             assert self._daemon_half(ice)[0] > ice_spans
 
 
+class TestSessionLifecycle:
+    def test_close_releases_the_scrape_connection(self, ice_tcp):
+        reactor = ice_tcp.control_daemon._reactor
+        idle = reactor.connections_active
+        with repro.connect(ice_tcp) as session:
+            session.top()
+            assert reactor.connections_active > idle
+        assert _eventually(lambda: reactor.connections_active == idle)
+
+    def test_failed_connect_leaves_nothing_attached(self):
+        tracer, metrics = Tracer("caller"), MetricsRegistry()
+        for target in (42, "not-a-uri"):
+            with pytest.raises(ReproError):
+                repro.connect(target, tracer=tracer, metrics=metrics)
+            assert tracer._sinks.fns == ()
+            assert metrics._listeners.fns == ()
+
+    def test_config_with_an_ice_target_is_rejected(self, ice):
+        with pytest.raises(WorkflowError, match="only valid when building"):
+            repro.connect(ice, config=ICEConfig())
+
+
+class TestUriModeSideChannels:
+    """Lease, telemetry, scrape and recorder calls beside the control
+    object dial with the session's transport secret."""
+
+    def test_side_channels_carry_the_transport_secret(self, secret_ice):
+        transport = TransportConfig(secret=SECRET)
+        with repro.connect(secret_ice.control_uri, transport=transport) as session:
+            assert session.client.call_Status_JKem()
+            assert len(session.pull_remote_recorder()) == 1
+            with session.stream() as stream:
+                names = [event.name for event in stream.drain()]
+            assert "stream.remote_poll_failed" not in names
+            assert session.reattach() == session.lease_epoch >= 1
+            assert session.client.call_Status_JKem()  # the new epoch is live
+            aggregator = session.aggregator()
+            aggregator.refresh()
+            assert aggregator.view()["failures"] == {
+                "dgx-session": 0,
+                "acl-daemon": 0,
+            }
+
+
 class TestWorkflowThroughSession:
     def test_run_workflow_threads_session_observability(self, ice):
         with repro.connect(ice) as session:
@@ -194,22 +261,17 @@ class TestConfigObjects:
         ) as session:
             assert not session.client.resilient
 
-    def test_legacy_resilient_kwarg_warns_and_maps(self, ice):
-        with pytest.warns(DeprecationWarning, match="SessionConfig"):
-            session = repro.connect(ice, resilient=False)
-        try:
-            assert not session.client.resilient
-            assert session.session_config.resilient is False
-        finally:
-            session.close()
+    def test_removed_resilient_kwarg_raises_type_error(self, ice):
+        # resilient= lives on SessionConfig only
+        with pytest.raises(TypeError):
+            repro.connect(ice, resilient=False)
 
-    def test_legacy_kwarg_conflicting_with_config_rejected(self, ice):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(WorkflowError, match="conflicting"):
+    def test_removed_kwargs_beside_session_config_raise_type_error(self, ice):
+        # no keyword is left that could disagree with session=SessionConfig
+        for legacy in ({"resilient": False}, {"health_window_s": 60.0}):
+            with pytest.raises(TypeError):
                 repro.connect(
-                    ice,
-                    session=SessionConfig(resilient=True),
-                    resilient=False,
+                    ice, session=SessionConfig(resilient=True), **legacy
                 )
 
     def test_config_validation(self):

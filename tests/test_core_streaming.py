@@ -118,7 +118,8 @@ class TestLiveMonitor:
 
 class TestMonitorTracing:
     def test_each_poll_emits_a_span_onto_the_bus(self, slow_ice):
-        from repro.obs import TelemetryBus, Tracer
+        from repro.obs import Tracer
+        from repro.obs.stream import TelemetryBus
 
         tracer = Tracer("steering")
         bus = TelemetryBus("dgx-session")

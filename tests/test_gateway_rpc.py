@@ -14,6 +14,7 @@ import pytest
 
 from repro.errors import (
     QuotaExceededError,
+    ReproError,
     TenantAuthError,
     UnknownJobError,
     UnknownTenantError,
@@ -147,13 +148,13 @@ class TestSessionSurface:
             tenants=(TenantSpec("lab-a", "key-a"),),
         )
         with repro.connect(ice) as session, gateway:
-            session.use_gateway(gateway, "lab-a", "key-a")
+            client = session.use_gateway(gateway, "lab-a", "key-a")
             view = session.submit_job(
                 repro.scan_rate_strategy((0.1,)), max_rounds=1
             )
             gateway.run_until_idle()
-            assert session.job_status(view["job_id"])["state"] == SUCCEEDED
-            events = session.poll_jobs()["events"]
+            assert client.status(view["job_id"])["state"] == SUCCEEDED
+            events = client.poll()["events"]
             assert [e["name"] for e in events] == [
                 "job.submitted",
                 "job.started",
@@ -166,7 +167,7 @@ class TestSessionSurface:
 
         with repro.connect() as session:
             with pytest.raises(WorkflowError):
-                session.job_status("nope")
+                session.submit_job(repro.scan_rate_strategy((0.1,)))
 
     def test_submit_job_requires_rebuildable_strategy(self, served):
         import repro
@@ -174,5 +175,5 @@ class TestSessionSurface:
         gateway, _, _ = served
         with repro.connect() as session:
             session.use_gateway(gateway, "lab-a", "key-a")
-            with pytest.raises(repro.ReproError):
+            with pytest.raises(ReproError):
                 session.submit_job(lambda history: None)

@@ -7,17 +7,14 @@ import json
 import pytest
 
 from repro.clock import VirtualClock
-from repro.obs import (
-    LATENCY_BUCKETS_S,
-    MetricsRegistry,
-    JsonlSpanExporter,
+from repro.obs import JsonlSpanExporter, MetricsRegistry, Tracer
+from repro.obs.exporters import read_jsonl_spans, summarize_spans
+from repro.obs.metrics import LATENCY_BUCKETS_S
+from repro.obs.trace import (
     SpanStatus,
-    Tracer,
     child_span,
     current_span,
     extract_context,
-    read_jsonl_spans,
-    summarize_spans,
     use_span,
 )
 
@@ -279,7 +276,7 @@ class TestExporters:
         assert [r["name"] for r in read_jsonl_spans(path)] == ["before", "after"]
 
     def test_trace_tree_marks_orphans_as_synthetic_roots(self):
-        from repro.obs import trace_tree
+        from repro.obs.exporters import trace_tree
 
         clock = VirtualClock()
         tracer = Tracer("svc", clock=clock)

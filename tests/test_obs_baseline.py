@@ -5,8 +5,9 @@ from __future__ import annotations
 import pytest
 
 from repro.clock import VirtualClock
-from repro.obs import BaselineStore, HealthEngine, MetricsRegistry, Tracer
-from repro.obs.baseline import NEW, OK, REGRESSED, SCHEMA
+from repro.obs import MetricsRegistry, Tracer
+from repro.obs.baseline import NEW, OK, REGRESSED, SCHEMA, BaselineStore
+from repro.obs.health import HealthEngine
 
 
 def summary(name: str, mean_s: float, count: int = 5) -> dict:
@@ -141,5 +142,5 @@ class TestSessionIntegration:
             assert path.exists()
             # tracking the baseline we just recorded: no regression
             session.track_baseline(path)
-            report = session.health()
+            report = session.health_engine.evaluate()
             assert report.subsystems["perf"].status == "healthy"

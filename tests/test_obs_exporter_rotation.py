@@ -6,7 +6,8 @@ import json
 
 import pytest
 
-from repro.obs import JsonlSpanExporter, Tracer, read_jsonl_spans
+from repro.obs import JsonlSpanExporter, Tracer
+from repro.obs.exporters import read_jsonl_spans
 
 
 def _emit(exporter, n, name="op"):

@@ -4,7 +4,7 @@ The tier-1 half exercises :func:`bucket_quantile` /
 :meth:`Histogram.quantile` edge cases and each :class:`HealthEngine`
 rule against hand-incremented counters; the e2e half checks the
 acceptance pair — a clean run reports ``healthy``, a chaos partition
-reports ``unhealthy`` — through ``session.health()``.
+reports ``unhealthy`` — through ``session.health_engine.evaluate()``.
 """
 
 from __future__ import annotations
@@ -14,7 +14,8 @@ import pytest
 from repro.clock import VirtualClock
 from repro.core.cv_workflow import CVWorkflowSettings
 from repro.errors import HealthGateError
-from repro.obs import MetricsRegistry, bucket_quantile
+from repro.obs import MetricsRegistry
+from repro.obs.metrics import bucket_quantile
 from repro.obs.health import (
     DEGRADED,
     HEALTHY,
@@ -280,7 +281,7 @@ class TestSessionHealthE2E:
                 settings=CVWorkflowSettings(e_step_v=0.01)
             )
             assert result.succeeded
-            report = session.health()
+            report = session.health_engine.evaluate()
         assert report.status == HEALTHY, report.reasons()
 
     def test_gate_blocks_reruns_after_a_failed_run(self):
@@ -293,7 +294,7 @@ class TestSessionHealthE2E:
                 settings=CVWorkflowSettings(fill_volume_ml=25.0, e_step_v=0.01)
             )
             assert not result.succeeded
-            assert session.health().unhealthy
+            assert session.health_engine.evaluate().unhealthy
             with pytest.raises(HealthGateError):
                 session.run_workflow(
                     settings=CVWorkflowSettings(e_step_v=0.01),
@@ -326,7 +327,7 @@ class TestSessionHealthUnderChaos:
             finally:
                 chaos.stop()
             assert not result.succeeded
-            report = session.health()
+            report = session.health_engine.evaluate()
         assert report.unhealthy
         assert report.subsystems["workflow"].status == UNHEALTHY
         assert report.reasons()

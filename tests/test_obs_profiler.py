@@ -12,8 +12,9 @@ from repro.clock import VirtualClock
 from repro.core.campaign import Campaign, scan_rate_strategy
 from repro.core.cv_workflow import CVWorkflowSettings, run_cv_workflow
 from repro.core.workflow import Workflow
-from repro.obs import Tracer, profiled, summarize_spans
-from repro.obs.profiler import SCHEMA, profile_spans
+from repro.obs import Tracer
+from repro.obs.exporters import summarize_spans
+from repro.obs.profiler import SCHEMA, profile_spans, profiled
 
 FAST = CVWorkflowSettings(e_step_v=0.002)
 

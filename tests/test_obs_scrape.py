@@ -199,7 +199,7 @@ class TestSessionSurface:
             assert reply["service"] == "dgx-session"
             names = {r["name"] for r in reply["rows"]}
             assert any(n.startswith("rpc.client.") for n in names)
-            statuses = session.slo()
+            statuses = session.slo_engine.evaluate()
             assert {s["objective"] for s in statuses} >= {"rpc-availability"}
 
     def test_session_top_merges_both_facilities(self, ice):
@@ -217,6 +217,6 @@ class TestSessionSurface:
     def test_slo_subsystem_in_session_health(self, ice):
         with repro.connect(ice) as session:
             session.client.call_Status_JKem()
-            report = session.health()
+            report = session.health_engine.evaluate()
             assert "slo" in report.subsystems
             assert report.subsystems["slo"].status == "healthy"

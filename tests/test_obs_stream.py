@@ -11,15 +11,17 @@ import repro
 from repro.core.cv_workflow import CVWorkflowSettings
 from repro.clock import VirtualClock
 from repro.logging_utils import EventLog
-from repro.obs import (
-    MetricsRegistry,
+from repro.obs import MetricsRegistry, Tracer
+from repro.obs.stream import (
+    KIND_METRIC,
+    KIND_SPAN,
+    KIND_STREAM,
+    SCHEMA,
     SessionStream,
     TelemetryBus,
     TelemetryEvent,
     TelemetryServer,
-    Tracer,
 )
-from repro.obs.stream import KIND_METRIC, KIND_SPAN, KIND_STREAM, SCHEMA
 
 FAST = CVWorkflowSettings(e_step_v=0.002)
 
@@ -291,7 +293,7 @@ class TestHealthTransitions:
     def test_status_change_is_published_once(self):
         metrics = MetricsRegistry()
         bus = TelemetryBus("dgx-session", clock=VirtualClock(), metrics=metrics)
-        from repro.obs import HealthEngine
+        from repro.obs.health import HealthEngine
 
         engine = HealthEngine(metrics, bus=bus)
         flip = {"status": None}

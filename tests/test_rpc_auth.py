@@ -49,7 +49,7 @@ class TestHandshake:
     def test_missing_secret_rejected(self, secured):
         connect, _ = secured
         with connect(timeout=2.0) as proxy:
-            with pytest.raises(Exception):
+            with pytest.raises(AuthenticationError):
                 proxy.hello()
 
     def test_secret_against_open_daemon_fails(self):

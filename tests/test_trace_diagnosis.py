@@ -306,7 +306,7 @@ class TestExemplarRoundTrip:
                             pass
                 finally:
                     reset_current_tenant(token)
-                statuses = session.slo()
+                statuses = session.slo_engine.evaluate()
                 assert any(s["alerts"] for s in statuses)
                 alerts = [
                     e
@@ -322,7 +322,7 @@ class TestExemplarRoundTrip:
             assert exemplar_ids, "alert carried no exemplar trace ids"
             trace_id = exemplar_ids[0]
             assert session.sampler.is_kept(trace_id)
-            result = session.explain(trace_id)
+            result = session.trace_index.explain(trace_id)
             assert result is not None
             assert result["blame"], "exemplar trace produced no blame rows"
             ops = {row["op"] for row in result["blame"]}
@@ -341,7 +341,7 @@ class TestExemplarRoundTrip:
                             pass
                 finally:
                     reset_current_tenant(token)
-                session.slo()
+                session.slo_engine.evaluate()
                 alerts = [e for e in sub.poll() if e.kind == KIND_SLO]
             assert alerts
             assert all(e.data["exemplar_trace_ids"] == [] for e in alerts)

@@ -18,9 +18,7 @@ product in the chromatogram. Task names continue the paper's lettering:
 
 from __future__ import annotations
 
-import tempfile
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Any
 
 from repro.errors import WorkflowError
@@ -93,8 +91,7 @@ def build_characterization_workflow(
         ctx.client.ping()
         ctx.characterization = ice.characterization_client()
         ctx.characterization.ping()
-        ctx.cache_dir = Path(tempfile.mkdtemp(prefix="dgx-cache-"))
-        ctx.mount = ice.mount(cache_dir=ctx.cache_dir)
+        ctx.mount = ice.mount()
         return "workstation + characterization agents reachable"
 
     @flow.task("B_configure_jkem", depends=("A_establish_communications",))

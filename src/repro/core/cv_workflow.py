@@ -14,7 +14,6 @@ the ML normality method — the "real-time analysis" of §4.3.
 
 from __future__ import annotations
 
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
@@ -172,9 +171,7 @@ def build_cv_workflow(
             idem_prefix=resume_from,
         )
         ctx.client.ping()
-        cache = Path(tempfile.mkdtemp(prefix="dgx-cache-"))
-        ctx.cache_dir = cache
-        ctx.mount = ice.mount(cache_dir=cache, tracer=tracer, metrics=metrics)
+        ctx.mount = ice.mount(tracer=tracer, metrics=metrics)
         ctx.mount.info()  # data-channel liveness probe
         return "control + data channels up"
 
@@ -296,7 +293,7 @@ def build_cv_workflow(
     if settings.safe_state_teardown:
         # Registered as separate teardowns so the engine guards each
         # independently: a dead control channel must not stop the local
-        # cleanup of the mount and cache.
+        # cleanup of the mount.
         def safe_state_instruments(ctx: Context) -> None:
             client = ctx.get("client")
             if client is not None:

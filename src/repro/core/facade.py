@@ -28,6 +28,7 @@ targets and options are documented once, on :class:`Session`.
 
 from __future__ import annotations
 
+import shutil
 import tempfile
 from pathlib import Path
 from typing import Any, Callable
@@ -39,10 +40,10 @@ from repro.obs.analysis import TraceIndex, TraceSampler
 from repro.obs.health import HealthEngine
 from repro.obs.health import require_healthy as _gate_healthy
 from repro.obs.baseline import BaselineStore
+from repro.obs.primitives import Fanout
 from repro.obs.recorder import (
     FlightRecorder,
     FlightRecorderServer,
-    is_daemon_side_span,
     pull_remote_snapshots,
 )
 from repro.obs.scrape import ObsAggregator, ObservabilityServer, format_top
@@ -92,9 +93,15 @@ class Session:
         config: :class:`~repro.facility.ice.ICEConfig` for the
             ``target=None`` build; rejected with any other target.
         data_uri: share URI for the data channel in URI mode.
-        cache_dir: local cache for fetched measurement files.
+        cache_dir: local cache for fetched measurement files; without
+            one the session makes a temp dir and removes it on
+            :meth:`close` (a black box dumped into its default
+            ``flight-recorder`` subdir stays).
         flight_dir: where flight-recorder black boxes are written
-            (defaults to ``<cache_dir>/flight-recorder``).
+            (defaults to ``<cache_dir>/flight-recorder``; a URI-mode
+            session with no ``data_uri`` has no cache and makes a temp
+            dir instead, removed on :meth:`close` unless a black box
+            was dumped into it).
         breaker: share a :class:`~repro.resilience.CircuitBreaker` for
             the control channel; its trips dump a flight recording.
 
@@ -181,6 +188,7 @@ class Session:
         self._gateway_client = None
         self._aggregator: ObsAggregator | None = None
         self._scrape_proxy: Proxy | None = None
+        self._temp_dirs: list[Path] = []
         self.lease_epoch: int | None = None
         # client-half black box: DGX-side spans (the daemon half records
         # its own via the ICE) plus the session's metric snapshots
@@ -194,8 +202,8 @@ class Session:
             "dgx-session", clock=self.tracer.clock, metrics=self.metrics
         )
         self.bus.observe_metrics(self.metrics)
-        # session-half time-series rollups: the DGX slice of the shared
-        # registry (an in-process ICE's store takes the daemon slice),
+        # session-half time-series rollups: the DGX half of the shared
+        # registry (an in-process ICE's store takes the daemon half),
         # scrapeable via Session.scrape() and merged by Session.top()
         self.timeseries = TimeSeriesStore(clock=self.tracer.clock)
         self.timeseries.attach(
@@ -210,18 +218,20 @@ class Session:
         for objective in default_objectives():
             self.slo_engine.add(objective)
         # tail sampling + per-trace analytics: the recorder and bus take
-        # the sampler's kept traces when there is a sampler (dropped
-        # traces never reach the black box or live feed), while the
-        # TraceIndex takes every finished span from the tracer itself —
-        # its explain() must never miss a trace. close() removes all of
-        # them.
+        # the tracer's DGX half — through the sampler's kept traces when
+        # there is a sampler (dropped traces never reach the black box or
+        # live feed) — while the TraceIndex takes every finished span
+        # from the tracer itself: its explain() must never miss a trace.
+        # close() removes all of them.
         self.sampler: TraceSampler | None = None
         self.trace_index = TraceIndex(
             clock=self.tracer.clock, metrics=self.metrics
         )
         self._sink_removers = [self.trace_index.attach(self.tracer)]
-        kept = self.tracer
-        if self.session_config.trace_sample_budget is not None:
+        if self.session_config.trace_sample_budget is None:
+            dgx_half = self.tracer.halves.dgx
+        else:
+            dgx_half = Fanout()
             self.sampler = TraceSampler(
                 budget=self.session_config.trace_sample_budget,
                 slow_threshold_s=self.session_config.trace_slow_threshold_s,
@@ -230,11 +240,16 @@ class Session:
             )
             self._sink_removers.append(self.sampler.attach(self.tracer))
             self.slo_engine.attach_sampler(self.sampler)
-            kept = self.sampler
-        dgx_side = lambda s: not is_daemon_side_span(s)  # noqa: E731
+            daemon_side = self.tracer.halves.daemon_side
+
+            def kept_dgx_half(span: Any) -> None:
+                if not daemon_side(span.name):
+                    dgx_half(span)
+
+            self._sink_removers.append(self.sampler.add_sink(kept_dgx_half))
         self._sink_removers += [
-            self.recorder.attach_tracer(kept, only=dgx_side),
-            self.bus.attach_tracer(kept, only=dgx_side),
+            dgx_half.add(self.recorder.record_span),
+            dgx_half.add(self.bus.publish_span),
         ]
 
         if self.ice is not None:
@@ -250,11 +265,7 @@ class Session:
                 max_inflight=self.transport_config.max_inflight,
                 binary=self.transport_config.binary,
             )
-            self._cache = Path(
-                cache_dir
-                if cache_dir is not None
-                else tempfile.mkdtemp(prefix="session-cache-")
-            )
+            self._cache = self._own_dir(cache_dir, "session-cache-")
             self.datachannel = self.ice.mount(
                 cache_dir=self._cache,
                 tracer=self.tracer,
@@ -282,11 +293,7 @@ class Session:
             if data_uri is not None:
                 from repro.datachannel.mount import Mount
 
-                self._cache = Path(
-                    cache_dir
-                    if cache_dir is not None
-                    else tempfile.mkdtemp(prefix="session-cache-")
-                )
+                self._cache = self._own_dir(cache_dir, "session-cache-")
                 self.datachannel = Mount(
                     Proxy(
                         data_uri,
@@ -305,9 +312,7 @@ class Session:
         elif getattr(self, "_cache", None) is not None:
             self.flight_dir = Path(self._cache) / "flight-recorder"
         else:
-            self.flight_dir = Path(
-                tempfile.mkdtemp(prefix="session-flightrec-")
-            )
+            self.flight_dir = self._own_dir(None, "session-flightrec-")
         # a breaker trip is one of the automatic black-box triggers:
         # hook on_open of whichever breaker guards the control channel
         self._hook_breaker_dump()
@@ -322,6 +327,36 @@ class Session:
         # burn-rate alerts surface as the "slo" subsystem, so
         # require_healthy= gates and flight-recorder dumps see them
         self.slo_engine.attach_health(self.health_engine)
+
+    def _own_dir(self, given: str | Path | None, prefix: str) -> Path:
+        """``given``, or a temp dir this session makes and removes on
+        :meth:`close`."""
+        if given is not None:
+            return Path(given)
+        made = Path(tempfile.mkdtemp(prefix=prefix))
+        self._temp_dirs.append(made)
+        return made
+
+    def _remove_temp_dirs(self) -> None:
+        """Delete the temp dirs :meth:`_own_dir` made. A black box
+        dumped into the default flight dir stays: a flight dir of its
+        own is left whole, and a cache dir keeps only its
+        ``flight-recorder`` subdir."""
+        dumped = any(self.flight_dir.glob("*"))
+        for root in self._temp_dirs:
+            if not dumped:
+                shutil.rmtree(root, ignore_errors=True)
+            elif root == self.flight_dir.parent:
+                for child in root.iterdir():
+                    if child == self.flight_dir:
+                        continue
+                    if child.is_dir():
+                        shutil.rmtree(child, ignore_errors=True)
+                    else:
+                        child.unlink(missing_ok=True)
+            elif root != self.flight_dir:
+                shutil.rmtree(root, ignore_errors=True)
+        self._temp_dirs = []
 
     def _hook_breaker_dump(self) -> None:
         from repro.resilience import ResilientProxy
@@ -367,6 +402,7 @@ class Session:
                 self._characterization.close()
             if self._owns_ice and self.ice is not None:
                 self.ice.shutdown()
+            self._remove_temp_dirs()
 
     def __enter__(self) -> "Session":
         return self

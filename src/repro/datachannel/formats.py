@@ -73,17 +73,27 @@ def write_mpt(path: str | Path, voltammogram: Voltammogram) -> Path:
     return path
 
 
-def read_mpt(path: str | Path) -> Voltammogram:
-    """Parse an ``.mpt`` file back into a voltammogram.
+def read_mpt(source: str | Path | bytes) -> Voltammogram:
+    """Parse an ``.mpt`` file, or its bytes, back into a voltammogram.
+
+    A mount passes the bytes it fetched, so a read over the data channel
+    never goes back to the disk to parse.
 
     Raises:
         FileFormatError: missing signature, malformed header, or bad body.
     """
-    path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise FileFormatError(f"cannot read {path}: {exc}") from exc
+    if isinstance(source, (bytes, bytearray, memoryview)):
+        path = f"<{len(source)} bytes of .mpt>"
+        try:
+            text = bytes(source).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FileFormatError(f"{path}: not UTF-8 text: {exc}") from exc
+    else:
+        path = Path(source)
+        try:
+            text = path.read_text(encoding="utf-8")
+        except OSError as exc:
+            raise FileFormatError(f"cannot read {path}: {exc}") from exc
     lines = text.splitlines()
     if not lines or lines[0].strip() != _SIGNATURE:
         raise FileFormatError(f"{path} is not an EC-Lab ASCII file")

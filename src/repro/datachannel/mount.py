@@ -182,24 +182,22 @@ class Mount:
         """Copy a remote file into the cache directory; returns local path."""
         if self.cache_dir is None:
             raise DataChannelError("mount has no cache directory configured")
-        data = self.read_bytes(relative, verify=verify)
+        return self._cache(relative, self.read_bytes(relative, verify=verify))
+
+    def _cache(self, relative: str, data: bytes) -> Path:
         local = self.cache_dir / relative
         local.parent.mkdir(parents=True, exist_ok=True)
         local.write_bytes(data)
         return local
 
     def read_voltammogram(self, relative: str):
-        """Fetch and parse an ``.mpt`` measurement in one call."""
-        if self.cache_dir is not None:
-            return read_mpt(self.fetch(relative))
-        import tempfile
+        """Fetch, verify and parse an ``.mpt`` measurement in one call.
 
-        with tempfile.NamedTemporaryFile(
-            "wb", suffix=".mpt", delete=False
-        ) as handle:
-            handle.write(self.read_bytes(relative))
-            temp_path = Path(handle.name)
-        try:
-            return read_mpt(temp_path)
-        finally:
-            temp_path.unlink(missing_ok=True)
+        The bytes are checked against the server's SHA-256, written to
+        the cache directory when the mount has one (as by :meth:`fetch`),
+        and parsed in memory.
+        """
+        data = self.read_bytes(relative, verify=True)
+        if self.cache_dir is not None:
+            self._cache(relative, data)
+        return read_mpt(data)

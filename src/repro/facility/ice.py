@@ -41,11 +41,7 @@ from repro.net.links import (
 )
 from repro.net.simtransport import SimNetwork
 from repro.net.topology import Topology
-from repro.obs.recorder import (
-    FlightRecorder,
-    FlightRecorderServer,
-    is_daemon_side_span,
-)
+from repro.obs.recorder import FlightRecorder, FlightRecorderServer
 from repro.obs.scrape import ObservabilityServer
 from repro.obs.stream import TelemetryBus, TelemetryServer
 from repro.obs.timeseries import TimeSeriesStore, is_daemon_side_metric
@@ -477,24 +473,22 @@ class ElectrochemistryICE:
             remove()
         self._sink_removers = []
         # the single in-process tracer sees both facilities' spans; the
-        # daemon-half recorder keeps only the ACL-side ones so the two
-        # halves of a merged dump stay disjoint
+        # daemon-half recorder and live feed take only the ACL half, the
+        # session's only the DGX half, so the halves of a merged dump and
+        # of session.stream() stay disjoint
         if tracer is not None:
             self.recorder.clock = tracer.clock
-            # same split for the live feed: the daemon bus streams only
-            # ACL-side spans, the session bus only DGX-side ones, so the
-            # merged session.stream() never sees a span twice
             self.telemetry_bus.clock = tracer.clock
+            acl_half = tracer.halves.acl
             self._sink_removers = [
-                self.recorder.attach_tracer(tracer, only=is_daemon_side_span),
-                self.telemetry_bus.attach_tracer(tracer, only=is_daemon_side_span),
+                acl_half.add(self.recorder.record_span),
+                acl_half.add(self.telemetry_bus.publish_span),
             ]
         if metrics is not None:
             self.recorder.observe_metrics(metrics)
-            # the shared in-process registry is split by metric-name
-            # prefix: this store rolls up only the daemon-side slice,
-            # the session store takes the complement, so a two-source
-            # aggregator never counts a write twice
+            # the shared in-process registry is split the same way: this
+            # store rolls up only the daemon half, the session store the
+            # other, so a two-source aggregator never counts a write twice
             self.obs_store.close()
             if tracer is not None:
                 self.obs_store.clock = tracer.clock

@@ -11,9 +11,14 @@ from __future__ import annotations
 
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator
 
+#: Events an :class:`EventLog` keeps, newest last; older ones fall off
+#: (subscribers saw them). The order of the tracer's ``max_spans``: a
+#: long-lived ICE log gains 1-4 events per control call.
+MAX_EVENTS = 20000
 
 _current_span_fn: Callable[[], Any] | None = None
 
@@ -54,12 +59,14 @@ class Event:
 
 
 class EventLog:
-    """Thread-safe append-only event store with subscription support."""
+    """Thread-safe store of the newest :data:`MAX_EVENTS` events with
+    subscription support."""
 
     def __init__(self, clock_fn: Callable[[], float] | None = None):
-        self._events: list[Event] = []
+        self._events: deque[Event] = deque(maxlen=MAX_EVENTS)
         self._lock = threading.Lock()
-        self._subscribers: list[Callable[[Event], None]] = []
+        # copy-on-write: emit iterates the tuple it read, without a lock
+        self._subscribers: tuple[Callable[[Event], None], ...] = ()
         self._clock_fn = clock_fn or time.monotonic
 
     def emit(
@@ -84,8 +91,7 @@ class EventLog:
         )
         with self._lock:
             self._events.append(event)
-            subscribers = list(self._subscribers)
-        for callback in subscribers:
+        for callback in self._subscribers:
             callback(event)
         span = _current_span()
         if span is not None:
@@ -95,12 +101,14 @@ class EventLog:
     def subscribe(self, callback: Callable[[Event], None]) -> Callable[[], None]:
         """Register a listener; returns an unsubscribe function."""
         with self._lock:
-            self._subscribers.append(callback)
+            self._subscribers += (callback,)
 
         def unsubscribe() -> None:
             with self._lock:
-                if callback in self._subscribers:
-                    self._subscribers.remove(callback)
+                subscribers = list(self._subscribers)
+                if callback in subscribers:
+                    subscribers.remove(callback)
+                    self._subscribers = tuple(subscribers)
 
         return unsubscribe
 

@@ -65,8 +65,13 @@ def _as_dict(span: Any) -> dict[str, Any]:
     return span if isinstance(span, dict) else span.to_dict()
 
 
-def _span_tenant(span: dict[str, Any]) -> str | None:
-    attrs = span.get("attributes")
+def _field(span: Any, name: str) -> Any:
+    """One field of a :class:`Span` or of its dict form."""
+    return span.get(name) if isinstance(span, dict) else getattr(span, name)
+
+
+def _span_tenant(span: Any) -> str | None:
+    attrs = _field(span, "attributes")
     if isinstance(attrs, dict):
         tenant = attrs.get("tenant")
         if isinstance(tenant, str) and tenant:
@@ -235,6 +240,9 @@ def format_blame(result: dict[str, Any], top: int = 15) -> str:
 class TraceIndex:
     """Assembles finished spans into queryable per-trace trees.
 
+    A span is kept as it arrived (a :class:`Span`, or a dict from
+    :meth:`ingest`) and turned into its dict form when read.
+
     Args:
         max_traces: bound on retained traces; the oldest (by first-span
             arrival) are evicted first, counted on
@@ -264,8 +272,14 @@ class TraceIndex:
 
     def add_span(self, span: Any) -> None:
         """Index one finished span (a :class:`Span` or its dict form)."""
-        doc = _as_dict(span)
-        trace_id = doc.get("trace_id")
+        if isinstance(span, dict):
+            trace_id, status, parent_id = (
+                span.get("trace_id"),
+                span.get("status"),
+                span.get("parent_id"),
+            )
+        else:
+            trace_id, status, parent_id = span.trace_id, span.status, span.parent_id
         if not isinstance(trace_id, str) or not trace_id:
             return
         evicted = 0
@@ -277,11 +291,11 @@ class TraceIndex:
                 while len(self._traces) > self.max_traces:
                     self._traces.popitem(last=False)
                     evicted += 1
-            record["spans"].append(doc)
-            if doc.get("status") == SpanStatus.ERROR:
+            record["spans"].append(span)
+            if status == SpanStatus.ERROR:
                 record["error"] = True
-            if doc.get("parent_id") is None:
-                record["root"] = doc
+            if parent_id is None:
+                record["root"] = span
         if evicted and self.metrics is not None:
             self.metrics.counter(
                 INDEX_EVICTED_METRIC,
@@ -322,7 +336,7 @@ class TraceIndex:
         """The trace's span dicts in start-time order (empty if unknown)."""
         with self._lock:
             record = self._traces.get(trace_id)
-            spans = list(record["spans"]) if record else []
+            spans = [_as_dict(s) for s in record["spans"]] if record else []
         spans.sort(key=lambda s: float(s.get("start_time") or 0.0))
         return spans
 
@@ -334,19 +348,20 @@ class TraceIndex:
             {t for t in (_span_tenant(s) for s in record["spans"]) if t}
         )
         duration = 0.0
-        if root is not None and root.get("end_time") is not None:
+        if root is not None and _field(root, "end_time") is not None:
             duration = max(
-                0.0, float(root["end_time"]) - float(root["start_time"])
+                0.0,
+                float(_field(root, "end_time")) - float(_field(root, "start_time")),
             )
         return {
             "trace_id": trace_id,
-            "root": root.get("name") if root else None,
+            "root": _field(root, "name") if root is not None else None,
             "duration_s": duration,
             "span_count": len(record["spans"]),
             "error": record["error"],
             "tenants": tenants,
             "started_at": (
-                float(root["start_time"]) if root is not None else None
+                float(_field(root, "start_time")) if root is not None else None
             ),
         }
 
@@ -386,7 +401,7 @@ class TraceIndex:
         out: list[dict[str, Any]] = []
         for trace_id, record in reversed(items):
             if op is not None and not any(
-                str(s.get("name", "")).startswith(op) for s in record["spans"]
+                str(_field(s, "name") or "").startswith(op) for s in record["spans"]
             ):
                 continue
             if error is not None and record["error"] != error:

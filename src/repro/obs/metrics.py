@@ -13,7 +13,7 @@ from __future__ import annotations
 import threading
 from typing import Any, Callable, Iterator
 
-from repro.obs.primitives import Fanout
+from repro.obs.primitives import Fanout, Halves
 
 #: Default latency buckets (seconds). Chosen for the paper's regimes:
 #: sub-ms loopback RPC, ~35 ms ACL<->ORNL WAN RTT, multi-second CV
@@ -56,6 +56,25 @@ INTERNAL_METRIC_PREFIX = "obs.metrics."
 #: the ``__overflow__`` series by the cardinality cap.
 LABEL_OVERFLOW_METRIC = "obs.metrics.label_overflow_total"
 
+#: Metric-name prefixes written on the *daemon* (facility) half of an
+#: ICE. When one process hosts both halves on a shared registry,
+#: :attr:`MetricsRegistry.halves` routes these writes to the facility
+#: store and the rest to the session store, so an aggregator that
+#: scrapes both never double-counts a write.
+DAEMON_METRIC_PREFIXES: tuple[str, ...] = (
+    "rpc.daemon.",
+    "rpc.server.",
+    "net.",
+    "chaos.",
+    "datachannel.share.",
+    "durability.",
+)
+
+
+def is_daemon_side_metric(name: str) -> bool:
+    return name.startswith(DAEMON_METRIC_PREFIXES)
+
+
 _tenant_getter: Callable[[], str | None] | None = None
 
 
@@ -86,6 +105,9 @@ def _label_key(labels: dict[str, Any]) -> tuple[tuple[str, str], ...]:
 #: ``listener(metric_name, kind, labels, value)`` where ``value`` is the
 #: new counter/gauge reading or the observed histogram sample.
 UpdateListener = Callable[[str, str, dict[str, Any], float], None]
+
+#: Label key of one series: the sorted ``(label, str(value))`` pairs.
+LabelKey = tuple[tuple[str, str], ...]
 
 
 def bucket_quantile(
@@ -145,16 +167,19 @@ class _Instrument:
         self._series: dict[tuple[tuple[str, str], ...], Any] = {}
         self._registry: "MetricsRegistry | None" = None
 
-    def _notify(self, labels: dict[str, Any], value: float) -> None:
-        """Tell the owning registry's update listeners about one write.
+    def _notify(self, key: LabelKey, labels: dict[str, Any], value: float) -> None:
+        """Hand one write to the owning registry's half consumers
+        (``halves.route(name, metric, key, labels, value)``), then to its
+        update listeners.
 
-        Called *after* the instrument lock is released so a listener that
+        Called *after* the instrument lock is released so a consumer that
         itself touches metrics (the telemetry bus does) cannot deadlock.
-        Free when nothing is listening: one attribute read.
         """
         registry = self._registry
-        if registry is not None and registry._listeners.fns:
-            registry._listeners(self.name, self.kind, labels, value)
+        if registry is not None:
+            registry.halves.route(self.name, self, key, labels, value)
+            if registry._listeners.fns:
+                registry._listeners(self.name, self.kind, labels, value)
 
     def _new_state(self) -> Any:  # pragma: no cover - overridden
         raise NotImplementedError
@@ -188,10 +213,10 @@ class _Instrument:
 
     def _locate(
         self, labels: dict[str, Any]
-    ) -> tuple[Any, dict[str, Any], bool]:
+    ) -> tuple[Any, LabelKey, dict[str, Any], bool]:
         """Resolve ``labels`` to a series under the cardinality cap.
 
-        Called with the instrument lock held. Returns ``(state,
+        Called with the instrument lock held. Returns ``(state, key,
         effective_labels, folded)``: when the write would create a label
         set beyond the registry's per-metric cap, it is folded into the
         ``__overflow__`` series instead (every label value replaced by
@@ -201,7 +226,7 @@ class _Instrument:
         key = _label_key(labels)
         state = self._series.get(key)
         if state is not None:
-            return state, labels, False
+            return state, key, labels, False
         registry = self._registry
         cap = registry.max_label_sets if registry is not None else None
         if (
@@ -215,10 +240,10 @@ class _Instrument:
             if state is None:
                 state = self._new_state()
                 self._series[key] = state
-            return state, labels, True
+            return state, key, labels, True
         state = self._new_state()
         self._series[key] = state
-        return state, labels, False
+        return state, key, labels, False
 
     def _count_overflow(self) -> None:
         """Count one folded write. Called outside the instrument lock."""
@@ -254,12 +279,12 @@ class Counter(_Instrument):
             raise ValueError("Counter can only increase")
         labels = self._labels_for_write(labels)
         with self._lock:
-            state, labels, folded = self._locate(labels)
+            state, key, labels, folded = self._locate(labels)
             state[0] += amount
             value = state[0]
         if folded:
             self._count_overflow()
-        self._notify(labels, value)
+        self._notify(key, labels, value)
 
     def value(self, **labels: Any) -> float:
         with self._lock:
@@ -283,21 +308,21 @@ class Gauge(_Instrument):
     def set(self, value: float, **labels: Any) -> None:
         labels = self._labels_for_write(labels)
         with self._lock:
-            state, labels, folded = self._locate(labels)
+            state, key, labels, folded = self._locate(labels)
             state[0] = float(value)
         if folded:
             self._count_overflow()
-        self._notify(labels, float(value))
+        self._notify(key, labels, float(value))
 
     def inc(self, amount: float = 1.0, **labels: Any) -> None:
         labels = self._labels_for_write(labels)
         with self._lock:
-            state, labels, folded = self._locate(labels)
+            state, key, labels, folded = self._locate(labels)
             state[0] += amount
             value = state[0]
         if folded:
             self._count_overflow()
-        self._notify(labels, value)
+        self._notify(key, labels, value)
 
     def dec(self, amount: float = 1.0, **labels: Any) -> None:
         self.inc(-amount, **labels)
@@ -362,7 +387,7 @@ class Histogram(_Instrument):
         """
         labels = self._labels_for_write(labels)
         with self._lock:
-            state, labels, folded = self._locate(labels)
+            state, key, labels, folded = self._locate(labels)
             idx = len(self.buckets)
             for i, bound in enumerate(self.buckets):
                 if value <= bound:
@@ -379,7 +404,7 @@ class Histogram(_Instrument):
                 state.exemplars[idx] = {"trace_id": exemplar, "value": value}
         if folded:
             self._count_overflow()
-        self._notify(labels, value)
+        self._notify(key, labels, value)
 
     def snapshot(self, **labels: Any) -> dict[str, Any]:
         """Stats for one label set (zeros when never observed)."""
@@ -490,6 +515,11 @@ class MetricsRegistry:
         self._lock = threading.Lock()
         self._metrics: dict[str, _Instrument] = {}
         self._listeners = Fanout()
+        #: The session's and the daemon's store and bus take writes here,
+        #: on ``halves.dgx`` / ``halves.acl``, as ``(metric, key, labels,
+        #: value)``: one :data:`DAEMON_METRIC_PREFIXES` check per write
+        #: routes it, and ``key`` is the series' label key.
+        self.halves = Halves(is_daemon_side_metric)
         self.max_label_sets = max_label_sets
         self.tenant_labels = tenant_labels
 
@@ -511,12 +541,13 @@ class MetricsRegistry:
     def add_update_listener(self, listener: "UpdateListener") -> Callable[[], None]:
         """Call ``listener(name, kind, labels, value)`` after every write.
 
-        The hook behind live telemetry streaming: the
-        :class:`~repro.obs.stream.TelemetryBus` subscribes here to turn
-        counter increments and gauge/histogram updates into bus events.
-        Listeners run outside the instrument lock and must never raise
-        (exceptions are swallowed — observability cannot break the
-        operation it observes). Returns an unsubscribe callable.
+        The hook for consumers that want every write by name (an
+        exporter, a benchmark's write counter, a test); the time-series
+        stores and :meth:`~repro.obs.stream.TelemetryBus.observe_metrics`
+        take writes from :attr:`halves` instead. Listeners run
+        outside the instrument lock and must never raise (exceptions
+        are swallowed — observability cannot break the operation it
+        observes). Returns an unsubscribe callable.
         """
         return self._listeners.add(listener)
 

@@ -1,9 +1,11 @@
-"""The two building blocks the observability planes share.
+"""The building blocks the observability planes share.
 
 :class:`Fanout` calls a list of callbacks (span sinks, kept-trace sinks,
-metric update listeners, bus subscribers); :class:`CursorRing` serves
-the one cursor poll behind ``Telemetry_Poll``, ``Job_Poll`` and
-``Obs_Scrape`` (``docs/PROTOCOLS.md`` §1.5).
+metric update listeners, bus subscribers); :class:`Halves` routes each
+finished span or metric write to the consumers of the one ICE half it
+belongs to; :class:`CursorRing` serves the one cursor poll behind
+``Telemetry_Poll``, ``Job_Poll`` and ``Obs_Scrape``
+(``docs/PROTOCOLS.md`` §1.5).
 """
 
 from __future__ import annotations
@@ -50,6 +52,32 @@ class Fanout:
                 pass
 
 
+class Halves:
+    """The one routing step behind a tracer's or registry's own
+    consumers: each record goes to the ``acl`` (daemon-half) consumers
+    when ``daemon_side(name)`` holds, else to the ``dgx`` (session-half)
+    ones. One in-process tracer and registry serve both facilities, so
+    the half is decided once per record, not once per consumer, and not
+    at all while neither half has a consumer.
+    """
+
+    __slots__ = ("daemon_side", "dgx", "acl")
+
+    def __init__(self, daemon_side: Callable[[str], bool]) -> None:
+        self.daemon_side = daemon_side
+        self.dgx = Fanout()
+        self.acl = Fanout()
+
+    def route(self, name: str, *record: Any) -> None:
+        if not (self.dgx.fns or self.acl.fns):
+            return
+        for fn in (self.acl if self.daemon_side(name) else self.dgx).fns:
+            try:
+                fn(*record)
+            except Exception:  # noqa: BLE001 - observers never break runs
+                pass
+
+
 class CursorRing(Generic[T]):
     """Items numbered 1, 2, ... as appended, the oldest evicted beyond
     ``capacity``. Takes no lock: each owner calls it under its own."""
@@ -62,10 +90,15 @@ class CursorRing(Generic[T]):
 
     def append(self, make: Callable[[int], T]) -> T:
         """Keep ``make(seq)``, built with the next number; returns it."""
-        self.seq += 1
-        item = make(self.seq)
-        self._items.append(item)
+        item = make(self.seq + 1)
+        self.add(item)
         return item
+
+    def add(self, item: T) -> None:
+        """Keep ``item`` as number :attr:`seq` + 1 (read it first to
+        build an item that carries its own number)."""
+        self.seq += 1
+        self._items.append(item)
 
     def read(
         self, cursor: int, limit: int, keep: Callable[[T], bool] | None = None

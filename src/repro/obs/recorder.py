@@ -6,9 +6,11 @@ other facility gets exactly one artifact to open: a correlated JSON
 dump of what both ends of the ecosystem saw just before the event.
 
 Each process keeps its own :class:`FlightRecorder` — a set of bounded
-ring buffers holding recent finished spans (a span sink on the tracer,
-or on the tail sampler for kept traces only), recent :class:`EventLog`
-entries (via subscription), and periodic metric snapshots. ``dump()``
+ring buffers holding recent finished spans (fed by its half of the
+tracer, or by the tail sampler for kept traces only), recent
+:class:`EventLog` entries (via subscription), and periodic metric
+snapshots. Spans and entries are kept as the raw records and turned
+into dicts when a snapshot is taken. ``dump()``
 writes one file merging the local half with any remote halves pulled
 over the control channel; spans from both sides share trace ids (the
 ``trace`` REQUEST field propagated them at call time), so the merged
@@ -33,16 +35,11 @@ from repro.clock import Clock, WALL
 from repro.logging_utils import Event, EventLog
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.primitives import Fanout
-from repro.obs.trace import Span
+from repro.obs.trace import DAEMON_SPAN_PREFIXES, Span
 from repro.rpc.expose import expose
 
 #: Schema tag stamped into every dump document.
 SCHEMA = "repro-flightrec-1"
-
-#: Span-name prefixes produced on the ACL (daemon) side of the control
-#: channel. When one tracer serves both facilities in-process, these
-#: decide which half of a merged dump a span belongs to.
-DAEMON_SPAN_PREFIXES = ("rpc.dispatch.", "instrument.")
 
 
 def is_daemon_side_span(span: Span) -> bool:
@@ -73,8 +70,8 @@ class FlightRecorder:
         self.service = service
         self.clock = clock or WALL
         self._lock = threading.Lock()
-        self._spans: deque[dict[str, Any]] = deque(maxlen=max_spans)
-        self._events: deque[dict[str, Any]] = deque(maxlen=max_events)
+        self._spans: deque[Span] = deque(maxlen=max_spans)
+        self._events: deque[Event] = deque(maxlen=max_events)
         self._metric_snapshots: deque[dict[str, Any]] = deque(
             maxlen=max_metric_snapshots
         )
@@ -85,13 +82,16 @@ class FlightRecorder:
 
     # -- capture ------------------------------------------------------------
     def record_span(self, span: Span) -> None:
-        """Capture one finished span (normally via :meth:`attach_tracer`)."""
-        try:
-            as_dict = span.to_dict()
-        except Exception:  # noqa: BLE001 - recording must never break runs
-            return
+        """Capture one finished span (a half of the tracer, or
+        :meth:`attach_tracer`)."""
         with self._lock:
-            self._spans.append(as_dict)
+            self._spans.append(span)
+
+    def record_event(self, event: Event) -> None:
+        """Capture one event-log entry (normally via
+        :meth:`attach_event_log`)."""
+        with self._lock:
+            self._events.append(event)
 
     def attach_tracer(
         self,
@@ -109,29 +109,16 @@ class FlightRecorder:
         """
 
         def sink(span: Span) -> None:
-            if only is None or only(span):
+            if only(span):
                 self.record_span(span)
 
-        remove = source.add_sink(sink)
+        remove = source.add_sink(self.record_span if only is None else sink)
         self._detach_fns.add(remove)
         return remove
 
     def attach_event_log(self, log: EventLog) -> None:
         """Subscribe so every emitted event lands in the ring buffer."""
-
-        def on_event(event: Event) -> None:
-            with self._lock:
-                self._events.append(
-                    {
-                        "timestamp": event.timestamp,
-                        "source": event.source,
-                        "kind": event.kind,
-                        "message": event.message,
-                        "data": dict(event.data),
-                    }
-                )
-
-        self._detach_fns.add(log.subscribe(on_event))
+        self._detach_fns.add(log.subscribe(self.record_event))
 
     def observe_metrics(self, registry: MetricsRegistry) -> None:
         """Remember the registry so snapshots can read it."""
@@ -172,15 +159,33 @@ class FlightRecorder:
         """
         self.snapshot_metrics()
         with self._lock:
-            return {
+            spans = list(self._spans)
+            events = list(self._events)
+            doc = {
                 "schema": SCHEMA,
                 "service": self.service,
                 "captured_at": self.clock.now(),
-                "spans": list(self._spans),
-                "events": list(self._events),
+                "spans": [],
+                "events": [],
                 "metric_snapshots": list(self._metric_snapshots),
                 "notes": list(self._notes),
             }
+        for span in spans:
+            try:
+                doc["spans"].append(span.to_dict())
+            except Exception:  # noqa: BLE001 - a bad record never breaks a dump
+                pass
+        doc["events"] = [
+            {
+                "timestamp": event.timestamp,
+                "source": event.source,
+                "kind": event.kind,
+                "message": event.message,
+                "data": dict(event.data),
+            }
+            for event in events
+        ]
+        return doc
 
     def dump(
         self,

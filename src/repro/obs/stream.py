@@ -7,11 +7,14 @@ DGX operator to see what the ACL is doing while acquisition is still in
 flight. The pieces:
 
 - :class:`TelemetryBus` — a bounded, lock-safe pub/sub hub. Producers
-  (tracer span-ends, :class:`~repro.obs.metrics.MetricsRegistry` update
-  listeners, :class:`~repro.logging_utils.EventLog` entries, health
-  status transitions) ``publish()`` without ever blocking: each
-  subscriber owns a drop-oldest ring, and overflow is counted in the
+  (tracer span-ends, :class:`~repro.obs.metrics.MetricsRegistry` writes,
+  :class:`~repro.logging_utils.EventLog` entries, health status
+  transitions) publish without ever blocking: each subscriber owns a
+  drop-oldest ring, and overflow is counted in the
   ``obs.stream.dropped_total`` metric instead of applying backpressure.
+  A span, a metric write or a log entry is kept as the raw record, with
+  the sequence number and timestamp of its publish; its
+  :class:`TelemetryEvent` is built when a reader asks for it.
 - :class:`TelemetryServer` — the control-channel face of the
   daemon-side bus (object id ``"ACL_Telemetry"``; the verb is spelled
   ``Telemetry_Poll`` because the RPC layer structurally refuses
@@ -39,7 +42,7 @@ from typing import Any, Callable
 
 from repro.clock import Clock, WALL
 from repro.logging_utils import Event, EventLog
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import LabelKey, MetricsRegistry, _Instrument
 from repro.obs.primitives import CursorRing, Fanout
 from repro.obs.trace import Span, current_span
 from repro.rpc.expose import expose
@@ -131,7 +134,8 @@ class TelemetrySubscription:
         if capacity <= 0:
             raise ValueError(f"capacity must be > 0, got {capacity}")
         self._bus = bus
-        self._ring: deque[TelemetryEvent] = deque(maxlen=capacity)
+        #: the bus's items, formatted by :meth:`poll`
+        self._ring: deque[tuple] = deque(maxlen=capacity)
         self._lock = threading.Lock()
         self._dropped = 0
         self._closed = False
@@ -147,7 +151,7 @@ class TelemetrySubscription:
     def closed(self) -> bool:
         return self._closed
 
-    def _offer(self, event: TelemetryEvent) -> None:
+    def _offer(self, item: tuple) -> None:
         """Bus-side append; an evicted event is counted on the bus."""
         with self._lock:
             if self._closed:
@@ -155,7 +159,7 @@ class TelemetrySubscription:
             evicting = len(self._ring) == self._ring.maxlen
             if evicting:
                 self._dropped += 1
-            self._ring.append(event)
+            self._ring.append(item)
         # outside the ring lock: the increment runs registry listeners,
         # and one of them may be this very bus
         counter = self._bus._dropped_counter
@@ -164,11 +168,11 @@ class TelemetrySubscription:
 
     def poll(self, max_events: int | None = None) -> list[TelemetryEvent]:
         """Drain up to ``max_events`` pending events (all, when None)."""
-        out: list[TelemetryEvent] = []
+        out: list[tuple] = []
         with self._lock:
             while self._ring and (max_events is None or len(out) < max_events):
                 out.append(self._ring.popleft())
-        return out
+        return [_event(item) for item in out]
 
     def close(self) -> None:
         with self._lock:
@@ -181,6 +185,13 @@ class TelemetrySubscription:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
+
+
+def _event(item: tuple) -> TelemetryEvent:
+    """Build the event of one bus item, a ``(build, seq, timestamp,
+    trace_id, record)`` tuple."""
+    build, seq, timestamp, trace_id, record = item
+    return build(seq, timestamp, trace_id, record)
 
 
 class TelemetryBus:
@@ -215,7 +226,7 @@ class TelemetryBus:
         self.clock = clock or WALL
         self.metrics = metrics
         self._lock = threading.Lock()
-        self._history: CursorRing[TelemetryEvent] = CursorRing(history)
+        self._history: CursorRing[tuple] = CursorRing(history)
         self._subscribers = Fanout()
         self._detach_fns = Fanout()
         self._dropped_counter = (
@@ -237,20 +248,128 @@ class TelemetryBus:
         **data: Any,
     ) -> TelemetryEvent:
         """Put one event on the bus; returns it (mostly for tests)."""
+
+        def build(seq: int, stamp: float, trace: "str | None", _: Any) -> TelemetryEvent:
+            return TelemetryEvent(seq, stamp, kind, name, self.service, trace, data)
+
+        return _event(self._publish_raw(build, None, trace_id, timestamp))
+
+    def _publish_raw(
+        self,
+        build: Callable[[int, float, "str | None", Any], TelemetryEvent],
+        record: Any,
+        trace_id: str | None,
+        timestamp: float | None = None,
+    ) -> tuple:
+        """Put one raw record on the bus; ``build`` makes its event when
+        a reader asks. Seq and timestamp are assigned now."""
         with self._lock:
-            event = self._history.append(
-                lambda seq: TelemetryEvent(
-                    seq,
-                    self.clock.now() if timestamp is None else timestamp,
-                    kind,
-                    name,
-                    self.service,
-                    trace_id,
-                    data,
-                )
+            ring = self._history
+            item = (
+                build,
+                ring.seq + 1,
+                self.clock.now() if timestamp is None else timestamp,
+                trace_id,
+                record,
             )
-        self._subscribers(event)
-        return event
+            ring.add(item)
+        if self._subscribers.fns:
+            self._subscribers(item)
+        return item
+
+    def publish_span(self, span: Span) -> None:
+        """Publish one finished span as a ``span`` event."""
+        self._publish_raw(self._span_event, span, span.trace_id)
+
+    def _span_event(
+        self, seq: int, timestamp: float, trace_id: "str | None", span: Span
+    ) -> TelemetryEvent:
+        return TelemetryEvent(
+            seq,
+            timestamp,
+            KIND_SPAN,
+            span.name,
+            self.service,
+            trace_id,
+            {
+                "span_id": span.span_id,
+                "parent_id": span.parent_id,
+                "duration_s": span.duration_s,
+                "status": span.status,
+                "attributes": dict(span.attributes),
+            },
+        )
+
+    def publish_metric(
+        self,
+        metric: _Instrument,
+        key: LabelKey,
+        labels: dict[str, Any],
+        value: float,
+    ) -> None:
+        """Publish one metric write as a ``metric`` event (the
+        :attr:`MetricsRegistry.halves` consumer signature).
+
+        The bus's own ``obs.stream.*`` counter is skipped — it may be
+        incremented *by* a publish, and streaming it back would recurse.
+        """
+        name = metric.name
+        if name.startswith(OWN_METRIC_PREFIX):
+            return
+        span = current_span()
+        self._publish_raw(
+            self._metric_event,
+            (name, metric.kind, labels, value),
+            span.trace_id if span is not None else None,
+        )
+
+    def _metric_event(
+        self, seq: int, timestamp: float, trace_id: "str | None", record: tuple
+    ) -> TelemetryEvent:
+        name, kind, labels, value = record
+        return TelemetryEvent(
+            seq,
+            timestamp,
+            KIND_METRIC,
+            name,
+            self.service,
+            trace_id,
+            {
+                "metric_kind": kind,
+                "labels": {k: str(v) for k, v in labels.items()},
+                "value": value,
+            },
+        )
+
+    def publish_event(self, event: Event) -> None:
+        """Publish one :class:`Event` as an ``event`` event, stamped with
+        its own timestamp. Runs in the emitting thread, so the current
+        span (if any) supplies the trace id."""
+        span = current_span()
+        self._publish_raw(
+            self._log_event,
+            event,
+            span.trace_id if span is not None else None,
+            event.timestamp,
+        )
+
+    def _log_event(
+        self, seq: int, timestamp: float, trace_id: "str | None", event: Event
+    ) -> TelemetryEvent:
+        return TelemetryEvent(
+            seq,
+            timestamp,
+            KIND_EVENT,
+            f"{event.source}:{event.kind}",
+            self.service,
+            trace_id,
+            {
+                "source": event.source,
+                "event_kind": event.kind,
+                "message": event.message,
+                "data": dict(event.data),
+            },
+        )
 
     # -- subscribing --------------------------------------------------------
     def subscribe(self, capacity: int = 256) -> TelemetrySubscription:
@@ -266,7 +385,8 @@ class TelemetryBus:
         sequence number the caller has already seen (0 on the first poll).
         """
         with self._lock:
-            return self._history.read(cursor, max_events)
+            items, next_cursor, gap = self._history.read(cursor, max_events)
+        return [_event(item) for item in items], next_cursor, gap
 
     @property
     def latest_seq(self) -> int:
@@ -290,67 +410,26 @@ class TelemetryBus:
         """
 
         def sink(span: Span) -> None:
-            if only is None or only(span):
-                self.publish(
-                    KIND_SPAN,
-                    span.name,
-                    trace_id=span.trace_id,
-                    span_id=span.span_id,
-                    parent_id=span.parent_id,
-                    duration_s=span.duration_s,
-                    status=span.status,
-                    attributes=dict(span.attributes),
-                )
+            if only(span):
+                self.publish_span(span)
 
-        remove = source.add_sink(sink)
+        remove = source.add_sink(self.publish_span if only is None else sink)
         self._detach_fns.add(remove)
         return remove
 
     def attach_event_log(self, log: EventLog) -> None:
-        """Publish every emitted :class:`Event` as an ``event`` event.
-
-        The subscriber runs synchronously in the emitting thread, so the
-        current span (if any) supplies the trace id.
-        """
-
-        def on_event(event: Event) -> None:
-            span = current_span()
-            self.publish(
-                KIND_EVENT,
-                f"{event.source}:{event.kind}",
-                trace_id=span.trace_id if span is not None else None,
-                timestamp=event.timestamp,
-                source=event.source,
-                event_kind=event.kind,
-                message=event.message,
-                data=dict(event.data),
-            )
-
-        self._detach_fns.add(log.subscribe(on_event))
+        """Publish every emitted :class:`Event` (:meth:`publish_event`)."""
+        self._detach_fns.add(log.subscribe(self.publish_event))
 
     def observe_metrics(self, registry: MetricsRegistry) -> None:
-        """Publish every metric write as a ``metric`` event.
+        """Publish every write on ``registry`` (:meth:`publish_metric`).
 
-        The bus's own ``obs.stream.*`` counter is skipped — it may be
-        incremented *by* a publish, and streaming it back would recurse.
+        Both of the registry's halves feed the bus: it streams every
+        write, whichever ICE half made it.
         """
-
-        def on_update(
-            name: str, kind: str, labels: dict[str, Any], value: float
-        ) -> None:
-            if name.startswith(OWN_METRIC_PREFIX):
-                return
-            span = current_span()
-            self.publish(
-                KIND_METRIC,
-                name,
-                trace_id=span.trace_id if span is not None else None,
-                metric_kind=kind,
-                labels={k: str(v) for k, v in labels.items()},
-                value=value,
-            )
-
-        self._detach_fns.add(registry.add_update_listener(on_update))
+        halves = registry.halves
+        self._detach_fns.add(halves.dgx.add(self.publish_metric))
+        self._detach_fns.add(halves.acl.add(self.publish_metric))
 
     def detach(self) -> None:
         """Undo every span-source/event-log/metrics attachment."""

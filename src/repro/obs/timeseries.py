@@ -1,9 +1,10 @@
 """Fixed-memory multi-resolution time-series rollups over the metrics plane.
 
 The :class:`MetricsRegistry` answers "what is the value now"; this module
-answers "how did it move". A :class:`TimeSeriesStore` subscribes to the
-registry's update-listener hook and folds every write into per-series
-rollup rings at several resolutions (1 s / 10 s / 60 s by default). Each
+answers "how did it move". A :class:`TimeSeriesStore` takes the writes
+the registry routes to its halves (:attr:`MetricsRegistry.halves`) and
+folds each into per-series rollup rings at several
+resolutions (1 s / 10 s / 60 s by default). Each
 rollup cell keeps ``sum``, ``count``, ``min``, ``max``, the last sample,
 and — for histograms — per-bucket count deltas, so rates, averages and
 latency-threshold fractions can be asked for any recent window without
@@ -27,9 +28,12 @@ from typing import Any, Callable, Iterable
 from repro.clock import Clock, WallClock
 from repro.obs.metrics import (
     Histogram,
+    LabelKey,
     MetricsRegistry,
     OVERFLOW_VALUE,
+    _Instrument,
     _label_key,
+    is_daemon_side_metric,
 )
 from repro.obs.primitives import CursorRing
 
@@ -45,25 +49,6 @@ OWN_METRIC_PREFIX = "obs.timeseries."
 #: feeds the scrape/export ring.
 DEFAULT_RESOLUTIONS: tuple[float, ...] = (1.0, 10.0, 60.0)
 
-#: Metric-name prefixes considered the *daemon* (facility) half of an
-#: ICE. When one process hosts both halves on a shared registry, the
-#: facility store attaches with ``only=is_daemon_side_metric`` and the
-#: session store with its complement, so an aggregator that scrapes both
-#: never double-counts a write.
-DAEMON_METRIC_PREFIXES: tuple[str, ...] = (
-    "rpc.daemon.",
-    "rpc.server.",
-    "net.",
-    "chaos.",
-    "datachannel.share.",
-    "durability.",
-)
-
-
-def is_daemon_side_metric(name: str) -> bool:
-    return name.startswith(DAEMON_METRIC_PREFIXES)
-
-
 class _Rollup:
     """One aggregation cell: ``[start, start + res)``."""
 
@@ -77,17 +62,6 @@ class _Rollup:
         self.maximum = float("-inf")
         self.last = 0.0
         self.buckets = [0] * n_buckets if n_buckets else None
-
-    def add(self, value: float, bucket_idx: int | None = None) -> None:
-        self.sum += value
-        self.count += 1
-        self.last = value
-        if value < self.minimum:
-            self.minimum = value
-        if value > self.maximum:
-            self.maximum = value
-        if bucket_idx is not None and self.buckets is not None:
-            self.buckets[bucket_idx] += 1
 
 
 class _Series:
@@ -130,7 +104,7 @@ def _matches(labels: dict[str, str], selector: dict[str, Any] | None) -> bool:
 class TimeSeriesStore:
     """Rollup rings + scrape ring over one registry's update stream.
 
-    Thread-safe; the listener path is the metric hot path, so it does
+    Thread-safe; :meth:`ingest` is on the metric hot path, so it does
     one lock acquire, one dict lookup and one rollup update per
     configured resolution. Attach with ``only=`` to take a name-filtered
     slice of a shared registry (see :func:`is_daemon_side_metric`).
@@ -152,10 +126,9 @@ class TimeSeriesStore:
         self._ring_capacity = ring_capacity
         self._max_series = max_series
         self._lock = threading.Lock()
-        self._series: dict[tuple[str, tuple[tuple[str, str], ...]], _Series] = {}
+        self._series: dict[tuple[str, LabelKey], _Series] = {}
         self._export: CursorRing[dict[str, Any]] = CursorRing(export_capacity)
         self._registry: MetricsRegistry | None = None
-        self._only: Callable[[str], bool] | None = None
         self._unsubscribe: Callable[[], None] | None = None
 
     # -- attachment ---------------------------------------------------------
@@ -175,7 +148,6 @@ class TimeSeriesStore:
         if self._unsubscribe is not None:
             raise RuntimeError("store is already attached")
         self._registry = registry
-        self._only = only
         with self._lock:
             for series in self._series.values():
                 series.last_raw = 0.0
@@ -188,10 +160,20 @@ class TimeSeriesStore:
                 if only is not None and not only(name):
                     continue
                 for labels, state in metric.series():
-                    series = self._get_series(name, "counter", labels, None)
+                    series = self._get_series(
+                        name, "counter", _label_key(labels), labels, None
+                    )
                     if series is not None:
                         series.last_raw = state[0]
-        self._unsubscribe = registry.add_update_listener(self._on_update)
+
+        def take(metric: _Instrument, key: LabelKey, labels: dict, value: float) -> None:
+            if only(metric.name):
+                self.ingest(metric, key, labels, value)
+
+        ingest = self.ingest if only is None else take
+        halves = registry.halves
+        removes = [halves.dgx.add(ingest), halves.acl.add(ingest)]
+        self._unsubscribe = lambda: [remove() for remove in removes]
 
     @property
     def attached(self) -> bool:
@@ -207,11 +189,12 @@ class TimeSeriesStore:
         self,
         name: str,
         kind: str,
+        label_key: LabelKey,
         labels: dict[str, Any],
         bounds: tuple[float, ...] | None,
     ) -> _Series | None:
         """Get-or-create under the caller-held lock; None once capped."""
-        key = (name, _label_key(labels))
+        key = (name, label_key)
         series = self._series.get(key)
         if series is None:
             if len(self._series) >= self._max_series:
@@ -227,42 +210,38 @@ class TimeSeriesStore:
             self._series[key] = series
         return series
 
-    def _on_update(
-        self, name: str, kind: str, labels: dict[str, Any], value: float
+    def ingest(
+        self, metric: _Instrument, key: LabelKey, labels: dict[str, Any], value: float
     ) -> None:
+        """Fold one write of ``metric``'s series ``key`` into the rollups."""
+        name = metric.name
         if name.startswith(OWN_METRIC_PREFIX):
             return
-        if self._only is not None and not self._only(name):
-            return
         now = self.clock.now()
-        dropped = False
         with self._lock:
-            bounds = None
-            if kind == "histogram":
-                metric = (
-                    self._registry.get(name) if self._registry is not None else None
-                )
-                if isinstance(metric, Histogram):
-                    bounds = metric.buckets
-            series = self._get_series(name, kind, labels, bounds)
-            if series is None:
-                dropped = True
-            else:
-                if kind == "counter":
+            series = self._series.get((name, key)) or self._get_series(
+                name,
+                metric.kind,
+                key,
+                labels,
+                metric.buckets if isinstance(metric, Histogram) else None,
+            )
+            if series is not None:
+                if series.kind == "counter":
                     delta = value - series.last_raw
                     series.last_raw = value
                     if delta > 0:
                         self._record(series, now, delta, None)
                 else:
                     bucket_idx = None
-                    if kind == "histogram" and series.bounds:
+                    if series.bounds:
                         bucket_idx = len(series.bounds)
                         for i, bound in enumerate(series.bounds):
                             if value <= bound:
                                 bucket_idx = i
                                 break
                     self._record(series, now, value, bucket_idx)
-        if dropped and self._registry is not None:
+        if series is None and self._registry is not None:
             self._registry.counter(
                 "obs.timeseries.series_dropped_total",
                 "metric writes dropped because the store's series cap was hit",
@@ -271,17 +250,25 @@ class TimeSeriesStore:
     def _record(
         self, series: _Series, t: float, value: float, bucket_idx: int | None
     ) -> None:
-        n_buckets = len(series.bounds) + 1 if series.bounds else 0
+        open_cells = series.open
         for res in self._resolutions:
             start = t - (t % res)
-            cell = series.open.get(res)
-            if cell is not None and cell.start != start:
-                self._close_cell(series, res, cell)
-                cell = None
-            if cell is None:
-                cell = _Rollup(start, n_buckets)
-                series.open[res] = cell
-            cell.add(value, bucket_idx)
+            cell = open_cells.get(res)
+            if cell is None or cell.start != start:
+                if cell is not None:
+                    self._close_cell(series, res, cell)
+                n_buckets = len(series.bounds) + 1 if series.bounds else 0
+                cell = open_cells[res] = _Rollup(start, n_buckets)
+            # inline rather than a method: this loop runs on every write
+            cell.sum += value
+            cell.count += 1
+            cell.last = value
+            if value < cell.minimum:
+                cell.minimum = value
+            if value > cell.maximum:
+                cell.maximum = value
+            if bucket_idx is not None:
+                cell.buckets[bucket_idx] += 1
 
     def _close_cell(self, series: _Series, res: float, cell: _Rollup) -> None:
         """Retire one cell into its ring (and the scrape feed at base res)."""

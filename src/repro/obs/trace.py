@@ -21,20 +21,25 @@ span durations deterministic under :class:`~repro.clock.VirtualClock`.
 from __future__ import annotations
 
 import contextlib
+import os
 import threading
 import time
-import uuid
 from collections import deque
 from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator
 
 from repro.clock import Clock, WALL
-from repro.obs.primitives import Fanout
+from repro.obs.primitives import Fanout, Halves
 
 #: Name of the optional REQUEST-body field that carries trace context
 #: across the control channel (alongside ``idem``).
 WIRE_FIELD = "trace"
+
+#: Span-name prefixes produced on the ACL (daemon) side of the control
+#: channel. When one tracer serves both facilities in-process, these
+#: decide which half a span belongs to (:attr:`Tracer.halves`).
+DAEMON_SPAN_PREFIXES = ("rpc.dispatch.", "instrument.")
 
 _CURRENT: ContextVar["Span | None"] = ContextVar("repro_obs_current_span", default=None)
 
@@ -60,11 +65,15 @@ class SpanContext:
 
 
 def _new_trace_id() -> str:
-    return uuid.uuid4().hex  # 32 hex chars
+    return os.urandom(16).hex()  # 32 hex chars, the entropy of uuid4()
 
 
 def _new_span_id() -> str:
-    return uuid.uuid4().hex[:16]  # 16 hex chars
+    return os.urandom(8).hex()  # 16 hex chars
+
+
+def _daemon_side_name(name: str) -> bool:
+    return name.startswith(DAEMON_SPAN_PREFIXES)
 
 
 #: Sentinel distinguishing "no parent given, use the current span" from
@@ -228,7 +237,7 @@ class Span:
 
 class Tracer:
     """Produces spans, retains the finished ones and hands each to its
-    sinks.
+    sinks, then to the consumers of its ICE half (:attr:`halves`).
 
     Args:
         service: label attached to every span (``service`` attribute),
@@ -253,6 +262,10 @@ class Tracer:
         self._sinks = Fanout()
         if exporter is not None:
             self._sinks.add(exporter)
+        #: The session's and the daemon's recorder and bus take finished
+        #: spans here, on ``halves.dgx`` / ``halves.acl``: one
+        #: :data:`DAEMON_SPAN_PREFIXES` check per span routes it.
+        self.halves = Halves(_daemon_side_name)
         #: Open :func:`~repro.obs.profiler.profiled` blocks; while any is
         #: open, new spans stamp their thread and thread CPU time.
         self._profiling = 0
@@ -322,16 +335,19 @@ class Tracer:
         """Call ``sink(span)`` with every finished span, after the sinks
         added before it; returns a remove callable.
 
-        Exporters, the flight recorder, the telemetry bus, the trace
-        index and the tail sampler all consume spans this way. A sink
-        that raises is skipped.
+        Exporters, the trace index, the tail sampler and profiled
+        blocks consume spans this way; the flight recorders and
+        telemetry buses of an ICE take theirs from :attr:`halves`. A
+        sink that raises is skipped.
         """
         return self._sinks.add(sink)
 
     def _on_end(self, span: Span) -> None:
         with self._lock:
             self._spans.append(span)
-        self._sinks(span)
+        if self._sinks.fns:
+            self._sinks(span)
+        self.halves.route(span.name, span)
 
     def finished_spans(self) -> list[Span]:
         with self._lock:

@@ -12,6 +12,7 @@ uses for long pump operations it polls separately.
 
 from __future__ import annotations
 
+import functools
 import inspect
 from typing import Any, Callable, TypeVar
 
@@ -35,22 +36,29 @@ def oneway(func: Callable) -> Callable:
     return func
 
 
+@functools.lru_cache(maxsize=4096)
+def _exposure(cls: type, method_name: str) -> tuple[bool, bool]:
+    """``(exposed, oneway)`` for one method of ``cls``. Classes are
+    marked when they are defined, so the answer is looked up once per
+    (class, method) instead of on every request."""
+    method = inspect.getattr_static(cls, method_name, None)
+    oneway = bool(method is not None and getattr(method, _ONEWAY_ATTR, False))
+    if method_name.startswith("_") or method is None or not callable(method):
+        return False, oneway
+    exposed = getattr(method, _EXPOSED_ATTR, False) or getattr(
+        cls, _EXPOSED_ATTR, False
+    )
+    return bool(exposed), oneway
+
+
 def is_exposed(obj: Any, method_name: str) -> bool:
     """May ``method_name`` be invoked remotely on ``obj``?"""
-    if method_name.startswith("_"):
-        return False
-    method = inspect.getattr_static(type(obj), method_name, None)
-    if method is None or not callable(method):
-        return False
-    if getattr(method, _EXPOSED_ATTR, False):
-        return True
-    return bool(getattr(type(obj), _EXPOSED_ATTR, False))
+    return _exposure(type(obj), method_name)[0]
 
 
 def is_oneway(obj: Any, method_name: str) -> bool:
     """Is ``method_name`` marked @oneway on ``obj``'s class?"""
-    method = inspect.getattr_static(type(obj), method_name, None)
-    return bool(method is not None and getattr(method, _ONEWAY_ATTR, False))
+    return _exposure(type(obj), method_name)[1]
 
 
 def exposed_methods(obj: Any) -> list[str]:

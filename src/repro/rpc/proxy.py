@@ -500,7 +500,13 @@ class Proxy:
                 finally:
                     cond.acquire()
                     self._reader_busy = False
-                if failure is None:
+                if failure is None and msg.msg_type is MessageType.CHALLENGE:
+                    # an HMAC daemon challenges a connection that sent no
+                    # HELLO (binary=False) where its first reply belongs
+                    failure = _errors_module.AuthenticationError(
+                        "daemon requires authentication; no secret configured"
+                    )
+                elif failure is None:
                     slot = self._pending.pop(msg.seq, None)
                     if slot is not None:
                         slot.reply = msg

@@ -7,7 +7,9 @@ swapping the constructor:
 - ``write`` appends to the peer's receive buffer and returns the byte count;
 - ``read(n)`` blocks until at least one byte is available or the timeout
   expires, then returns up to ``n`` bytes (pyserial behaviour);
-- ``read_until(terminator)`` accumulates until the terminator or timeout;
+- ``read_until(terminator)`` accumulates until the terminator or timeout,
+  scanning whatever is buffered under one lock per wait; bytes after the
+  terminator stay buffered for the next read;
 - closing either end makes further I/O raise :class:`PortNotOpenError`, and
   a blocked reader on the other end gets whatever is buffered then EOF-style
   empty bytes.
@@ -18,7 +20,6 @@ A per-direction byte-rate limit can be set to emulate slow UARTs.
 from __future__ import annotations
 
 import threading
-from collections import deque
 
 from repro.errors import PortNotOpenError, SerialTimeoutError
 
@@ -27,14 +28,14 @@ class _Pipe:
     """One direction of the cable: a byte queue with condition variable."""
 
     def __init__(self) -> None:
-        self.buffer: deque[int] = deque()
+        self.buffer = bytearray()
         self.lock = threading.Lock()
         self.data_available = threading.Condition(self.lock)
         self.closed = False
 
     def push(self, data: bytes) -> None:
         with self.data_available:
-            self.buffer.extend(data)
+            self.buffer += data
             self.data_available.notify_all()
 
     def close(self) -> None:
@@ -115,11 +116,13 @@ class SerialEndpoint:
         if size <= 0:
             return b""
         effective_timeout = self.timeout if timeout is ... else timeout
-        with self._rx.data_available:
-            if not self._rx.buffer and not self._rx.closed:
-                self._rx.data_available.wait(timeout=effective_timeout)
-            count = min(size, len(self._rx.buffer))
-            return bytes(self._rx.buffer.popleft() for _ in range(count))
+        rx = self._rx
+        with rx.data_available:
+            if not rx.buffer and not rx.closed:
+                rx.data_available.wait(timeout=effective_timeout)
+            data = bytes(rx.buffer[:size])
+            del rx.buffer[:size]
+            return data
 
     def read_exactly(self, size: int, timeout: float | None = ...) -> bytes:  # type: ignore[assignment]
         """Read exactly ``size`` bytes or raise :class:`SerialTimeoutError`."""
@@ -144,27 +147,45 @@ class SerialEndpoint:
     ) -> bytes:
         """Read until ``terminator`` is seen (inclusive) or timeout/EOF.
 
+        Each wait, like one :meth:`read`, lasts up to the timeout; what is
+        buffered then is scanned under that one lock. Bytes after the
+        terminator stay buffered.
+
         Raises:
             SerialTimeoutError: terminator not seen before timeout or EOF.
-            ProtocolError-like ValueError: ``max_bytes`` exceeded.
+            ProtocolError-like ValueError: no terminator within
+                ``max_bytes + 1`` bytes (those bytes are consumed).
         """
         if not terminator:
             raise ValueError("terminator must be non-empty")
+        self._require_open()
+        effective_timeout = self.timeout if timeout is ... else timeout
+        limit = max_bytes + 1  # the longest reply that may still end well
+        rx = self._rx
         accumulated = bytearray()
-        while True:
-            chunk = self.read(1, timeout=timeout)
-            if not chunk:
-                raise SerialTimeoutError(
-                    f"read_until({terminator!r}) on {self.name} timed out "
-                    f"after {len(accumulated)} bytes"
-                )
-            accumulated += chunk
-            if accumulated.endswith(terminator):
-                return bytes(accumulated)
-            if len(accumulated) > max_bytes:
-                raise ValueError(
-                    f"read_until exceeded max_bytes={max_bytes} on {self.name}"
-                )
+        with rx.data_available:
+            while True:
+                if not rx.buffer and not rx.closed:
+                    rx.data_available.wait(timeout=effective_timeout)
+                if not rx.buffer:
+                    raise SerialTimeoutError(
+                        f"read_until({terminator!r}) on {self.name} timed out "
+                        f"after {len(accumulated)} bytes"
+                    )
+                # a terminator split across two writes straddles the seam
+                start = max(0, len(accumulated) - len(terminator) + 1)
+                taken = len(accumulated)
+                accumulated += rx.buffer[: limit - taken]
+                found = accumulated.find(terminator, start)
+                end = found + len(terminator) if found >= 0 else len(accumulated)
+                del accumulated[end:]
+                del rx.buffer[: end - taken]
+                if found >= 0:
+                    return bytes(accumulated)
+                if len(accumulated) >= limit:
+                    raise ValueError(
+                        f"read_until exceeded max_bytes={max_bytes} on {self.name}"
+                    )
 
     def reset_input_buffer(self) -> None:
         """Discard everything buffered for reading."""

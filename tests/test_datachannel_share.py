@@ -138,6 +138,16 @@ class TestMount:
             loaded.current_a, reference_voltammogram.current_a, rtol=1e-5
         )
 
+    def test_read_voltammogram_verifies_without_cache_dir(
+        self, share_setup, reference_voltammogram, monkeypatch
+    ):
+        root, service, mount = share_setup
+        write_mpt(root / "cv.mpt", reference_voltammogram)
+        bare = Mount(mount._proxy, cache_dir=None)
+        monkeypatch.setattr(service, "checksum", lambda relative: "0" * 64)
+        with pytest.raises(DataChannelError, match="checksum mismatch"):
+            bare.read_voltammogram("cv.mpt")
+
     def test_bytes_fetched_accounting(self, share_setup):
         _, _, mount = share_setup
         before = mount.bytes_fetched

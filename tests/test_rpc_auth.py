@@ -46,9 +46,12 @@ class TestHandshake:
             with pytest.raises((AuthenticationError, ReproError)):
                 proxy.hello()
 
-    def test_missing_secret_rejected(self, secured):
+    @pytest.mark.parametrize("binary", ["auto", False])
+    def test_missing_secret_rejected(self, secured, binary):
+        # binary=False sends no HELLO, so the daemon's CHALLENGE arrives
+        # where the first reply is expected: still an AuthenticationError
         connect, _ = secured
-        with connect(timeout=2.0) as proxy:
+        with connect(timeout=2.0, binary=binary) as proxy:
             with pytest.raises(AuthenticationError):
                 proxy.hello()
 

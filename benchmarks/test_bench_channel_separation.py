@@ -4,8 +4,8 @@
 commands transferred over the shared ICE network."
 
 Method: run control-command pings while a bulk measurement transfer
-saturates the data path, on two ecosystems that differ only in
-``separate_channels``. On the shared topology every control frame queues
+saturates the data path, on ecosystems that differ only in
+``channel_mode``. On the shared topology every control frame queues
 behind 256 KiB data chunks on the same links; on the dedicated topology
 it never does.
 

@@ -56,8 +56,11 @@ def test_profiling_overhead_under_five_percent(capsys):
     observed_tracer = Tracer("observed", max_spans=SPANS_PER_BATCH * 2)
     metrics = MetricsRegistry()
     bus = TelemetryBus("dgx-session", metrics=metrics)
-    bus.attach_tracer(observed_tracer)
-    bus.observe_metrics(metrics)
+    removers = [
+        observed_tracer.add_sink(bus.publish_span),
+        metrics.halves.dgx.add(bus.publish_metric),
+        metrics.halves.acl.add(bus.publish_metric),
+    ]
     subscription = bus.subscribe(capacity=SPANS_PER_BATCH * 2)
 
     timings = {"bare": float("inf"), "observed": float("inf")}
@@ -69,7 +72,8 @@ def test_profiling_overhead_under_five_percent(capsys):
             )
             subscription.poll()  # keep the ring from saturating
     delta_per_span = timings["observed"] - timings["bare"]
-    bus.detach()
+    for remove in removers:
+        remove()
 
     # the observed stack really did observe
     assert profiler.profile()["operations"]["bench.op"]["count"] > 0

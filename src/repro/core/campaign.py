@@ -408,7 +408,7 @@ class Campaign:
         """
         if self.flight_recorder is None:
             return None
-        remote = pull_remote_snapshots(self.ice.recorder_client)
+        remote = pull_remote_snapshots(self.ice.obs_client)
         target = (
             Path(self.flight_dir)
             if self.flight_dir is not None

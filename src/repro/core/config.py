@@ -11,7 +11,7 @@ that sprawl:
   depth, binary wire-format negotiation policy, the HMAC secret;
 - :class:`SessionConfig` — everything about *how the session behaves*:
   resilience, the health gate, profiling, durable campaign journaling,
-  the health-rule window.
+  tail sampling.
 
 Both are frozen: a config captures a policy, not mutable state, so one
 object can be shared across many ``connect()`` calls (a notebook, a
@@ -103,39 +103,25 @@ class SessionConfig:
             campaigns built via
             :meth:`~repro.core.facade.Session.campaign`; None runs
             campaigns in memory only.
-        health_window_s: rolling window for the session health engine.
         trace_sample_budget: tail-based trace sampling budget — the
             per-tenant fraction of *normal* traces kept by the
             :class:`~repro.obs.analysis.TraceSampler` (error, slow and
             SLO-breaching traces are always kept). ``None`` (default)
             disables tail sampling: every finished span reaches the
             exporters, as before.
-        trace_slow_threshold_s: root-span duration at which a trace
-            counts as slow for the tail sampler's keep-always rule.
     """
 
     resilient: bool = True
     require_healthy: bool = False
     profile: bool = False
     journal_dir: str | Path | None = None
-    health_window_s: float = 300.0
     trace_sample_budget: float | None = None
-    trace_slow_threshold_s: float = 30.0
 
     def __post_init__(self) -> None:
-        if self.health_window_s <= 0:
-            raise WorkflowError(
-                f"health_window_s must be > 0, got {self.health_window_s}"
-            )
         if self.trace_sample_budget is not None and not (
             0.0 <= self.trace_sample_budget <= 1.0
         ):
             raise WorkflowError(
                 "trace_sample_budget must be in [0, 1], got "
                 f"{self.trace_sample_budget}"
-            )
-        if self.trace_slow_threshold_s <= 0:
-            raise WorkflowError(
-                "trace_slow_threshold_s must be > 0, got "
-                f"{self.trace_slow_threshold_s}"
             )

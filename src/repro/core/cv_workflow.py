@@ -325,7 +325,7 @@ def build_cv_workflow(
                 # runs after close_control_channel, so it opens its own
                 # proxy; a partitioned channel yields a client-half-only
                 # dump rather than no dump at all
-                remote = pull_remote_snapshots(ice.recorder_client)
+                remote = pull_remote_snapshots(ice.obs_client)
                 target = (
                     Path(flight_dir)
                     if flight_dir is not None

@@ -41,14 +41,10 @@ from repro.obs.health import HealthEngine
 from repro.obs.health import require_healthy as _gate_healthy
 from repro.obs.baseline import BaselineStore
 from repro.obs.primitives import Fanout
-from repro.obs.recorder import (
-    FlightRecorder,
-    FlightRecorderServer,
-    pull_remote_snapshots,
-)
+from repro.obs.recorder import FlightRecorder, pull_remote_snapshots
 from repro.obs.scrape import ObsAggregator, ObservabilityServer, format_top
 from repro.obs.slo import SLOEngine, default_objectives
-from repro.obs.stream import SessionStream, TelemetryBus, TelemetryServer
+from repro.obs.stream import SessionStream, TelemetryBus
 from repro.obs.timeseries import (
     SCHEMA as TSDB_SCHEMA,
     TimeSeriesStore,
@@ -82,8 +78,7 @@ class Session:
             secret. Defaults to ``TransportConfig()``.
         session: :class:`~repro.core.config.SessionConfig` — resilience,
             the pre-flight health gate, profiling, durable campaign
-            journaling, the health window. Defaults to
-            ``SessionConfig()``.
+            journaling, tail sampling. Defaults to ``SessionConfig()``.
         tracer: share an existing :class:`~repro.obs.Tracer`; a fresh
             one is created otherwise.
         metrics: share an existing :class:`~repro.obs.MetricsRegistry`;
@@ -201,7 +196,11 @@ class Session:
         self.bus = TelemetryBus(
             "dgx-session", clock=self.tracer.clock, metrics=self.metrics
         )
-        self.bus.observe_metrics(self.metrics)
+        halves = self.metrics.halves
+        self._sink_removers = [
+            halves.dgx.add(self.bus.publish_metric),
+            halves.acl.add(self.bus.publish_metric),
+        ]
         # session-half time-series rollups: the DGX half of the shared
         # registry (an in-process ICE's store takes the daemon half),
         # scrapeable via Session.scrape() and merged by Session.top()
@@ -222,19 +221,18 @@ class Session:
         # there is a sampler (dropped traces never reach the black box or
         # live feed) — while the TraceIndex takes every finished span
         # from the tracer itself: its explain() must never miss a trace.
-        # close() removes all of them.
+        # close() removes all of them, and the bus's metric feed.
         self.sampler: TraceSampler | None = None
         self.trace_index = TraceIndex(
             clock=self.tracer.clock, metrics=self.metrics
         )
-        self._sink_removers = [self.trace_index.attach(self.tracer)]
+        self._sink_removers.append(self.trace_index.attach(self.tracer))
         if self.session_config.trace_sample_budget is None:
             dgx_half = self.tracer.halves.dgx
         else:
             dgx_half = Fanout()
             self.sampler = TraceSampler(
                 budget=self.session_config.trace_sample_budget,
-                slow_threshold_s=self.session_config.trace_slow_threshold_s,
                 breach=lambda root: bool(self.slo_engine.active_alerts()),
                 metrics=self.metrics,
             )
@@ -256,6 +254,9 @@ class Session:
             # one tracer on both "facilities": daemon dispatch spans land
             # in the same store as the client's call spans
             self.ice.attach_observability(self.tracer, self.metrics)
+            # stream(), aggregator() and dump_flight() each dial their
+            # own proxy to the daemon half's one observability object
+            self._dial_obs = self.ice.obs_client
             self.client = self.ice.client(
                 timeout=self.transport_config.timeout,
                 resilient=self.session_config.resilient,
@@ -276,6 +277,7 @@ class Session:
         else:
             from repro.resilience import RetryPolicy
 
+            self._dial_obs = self._sibling(ObservabilityServer.OBJECT_ID)
             self.client = ACLPyroClient.from_uri(
                 self._control_uri,
                 timeout=self.transport_config.timeout,
@@ -319,10 +321,7 @@ class Session:
         # baseline the health window only after the channels are up, so
         # connection-time traffic does not count against the first verdict
         self.health_engine = HealthEngine(
-            self.metrics,
-            clock=self.tracer.clock,
-            window_s=self.session_config.health_window_s,
-            bus=self.bus,
+            self.metrics, clock=self.tracer.clock, bus=self.bus
         )
         # burn-rate alerts surface as the "slo" subsystem, so
         # require_healthy= gates and flight-recorder dumps see them
@@ -389,7 +388,6 @@ class Session:
                 remove()
             if self.sampler is not None:
                 self.sampler.flush()
-            self.bus.detach()
             self.timeseries.close()
             if self.datachannel is not None:
                 self.datachannel.unmount()
@@ -644,11 +642,7 @@ class Session:
         """
         return SessionStream(
             self.bus,
-            remote_client_fn=(
-                self.ice.telemetry_client
-                if self.ice is not None
-                else self._sibling(TelemetryServer.OBJECT_ID)
-            ),
+            remote_client_fn=self._dial_obs,
             capacity=capacity,
             max_remote_events=max_remote_events,
         )
@@ -688,12 +682,7 @@ class Session:
         if self._aggregator is None:
             agg = ObsAggregator()
             agg.add_store("dgx-session", self.timeseries)
-            dial = (
-                self.ice.obs_client
-                if self.ice is not None
-                else self._sibling(ObservabilityServer.OBJECT_ID)
-            )
-            self._scrape_proxy = dial()
+            self._scrape_proxy = self._dial_obs()
             agg.add_remote("acl-daemon", self._scrape_proxy)
             self._aggregator = agg
         return self._aggregator
@@ -743,11 +732,7 @@ class Session:
         Best-effort (see :func:`~repro.obs.recorder.pull_remote_snapshots`):
         failures return an empty list instead of raising.
         """
-        return pull_remote_snapshots(
-            self.ice.recorder_client
-            if self.ice is not None
-            else self._sibling(FlightRecorderServer.OBJECT_ID)
-        )
+        return pull_remote_snapshots(self._dial_obs)
 
     def dump_flight(
         self, trigger: str, directory: str | Path | None = None

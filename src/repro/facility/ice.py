@@ -11,7 +11,7 @@ paper deployed across two ORNL buildings:
   (the port visible in Fig 6b);
 - the **data channel**: a second daemon at port 9700 exporting the
   measurement directory through the file share, routed over dedicated
-  hub networks when ``separate_channels`` is on;
+  hub networks in the default ``"separate"`` channel mode;
 - **firewall rules**: ingress ports opened exactly for the K200 facility,
   mirroring §4.1's "open ingress TCP ports on workstation firewalls";
 - an optional **name server** on the gateway, so remote code can resolve
@@ -41,9 +41,9 @@ from repro.net.links import (
 )
 from repro.net.simtransport import SimNetwork
 from repro.net.topology import Topology
-from repro.obs.recorder import FlightRecorder, FlightRecorderServer
+from repro.obs.recorder import FlightRecorder
 from repro.obs.scrape import ObservabilityServer
-from repro.obs.stream import TelemetryBus, TelemetryServer
+from repro.obs.stream import TelemetryBus
 from repro.obs.timeseries import TimeSeriesStore, is_daemon_side_metric
 from repro.rpc.daemon import Daemon
 from repro.rpc.naming import NameServer
@@ -80,12 +80,10 @@ class ICEConfig:
     Attributes:
         workstation: bench configuration (measurement dir is overridden
             with the ICE-owned directory when left None).
-        separate_channels: dedicate hub networks to the data channel
-            (paper design); False forces data onto the control path for
-            the CH1 contention study.
-        channel_mode: overrides ``separate_channels`` when set —
-            ``"separate"`` (paper design), ``"shared"`` (one FCFS path),
-            or ``"priority"`` (one path with preemptive-priority links:
+        channel_mode: ``"separate"`` (paper design: dedicated hub
+            networks for the data channel), ``"shared"`` (data on the
+            control path, one FCFS path — the CH1 contention study), or
+            ``"priority"`` (one path with preemptive-priority links:
             control frames priority 0, data priority 1 — the QoS
             alternative CH1 ablates).
         transport: ``"sim"`` or ``"tcp"``.
@@ -111,13 +109,12 @@ class ICEConfig:
     """
 
     workstation: WorkstationConfig = field(default_factory=WorkstationConfig)
-    separate_channels: bool = True
     transport: str = "sim"
     hub_link: LinkSpec = LAN_HUB
     wan_link: LinkSpec = CROSS_FACILITY
     with_name_server: bool = True
     control_secret: bytes | None = None
-    channel_mode: str = ""
+    channel_mode: str = "separate"
     durability_dir: Path | None = None
     daemon_workers: int = 0
 
@@ -127,12 +124,6 @@ class ICEConfig:
         if self.daemon_workers < 0:
             raise NetworkError(
                 f"daemon_workers must be >= 0, got {self.daemon_workers}"
-            )
-        if not self.channel_mode:
-            object.__setattr__(
-                self,
-                "channel_mode",
-                "separate" if self.separate_channels else "shared",
             )
         if self.channel_mode not in ("separate", "shared", "priority"):
             raise NetworkError(f"unknown channel mode {self.channel_mode!r}")
@@ -170,20 +161,15 @@ class ElectrochemistryICE:
         self.tracer = None
         self.metrics = None
         self._sink_removers: list[Callable[[], None]] = []
-        #: daemon-half flight recorder, served over the control channel
-        #: (``FlightRecorderServer.OBJECT_ID``); :meth:`attach_observability`
-        #: adds it as a tracer sink for daemon-side spans
-        self.recorder: FlightRecorder = parts["recorder"]
-        self.recorder_uri: str = parts["recorder_uri"]
-        #: daemon-half live telemetry bus, served over the control
-        #: channel (``TelemetryServer.OBJECT_ID``) for cursor polling;
-        #: :meth:`attach_observability` feeds it daemon-side spans
-        self.telemetry_bus: TelemetryBus = parts["telemetry_bus"]
-        self.telemetry_uri: str = parts["telemetry_uri"]
-        #: daemon-half time-series rollups, scrapeable over the control
-        #: channel (``ObservabilityServer.OBJECT_ID``);
-        #: :meth:`attach_observability` subscribes it to the registry's
+        #: the daemon half's observability, all three served over the
+        #: control channel by one ``ObservabilityServer``
+        #: (``ACL_Observability``, dialled by :meth:`obs_client`):
+        #: the flight recorder and the live telemetry bus, which
+        #: :meth:`attach_observability` feeds daemon-side spans, and the
+        #: time-series rollups, which it subscribes to the registry's
         #: daemon-side metric slice
+        self.recorder: FlightRecorder = parts["recorder"]
+        self.telemetry_bus: TelemetryBus = parts["telemetry_bus"]
         self.obs_store: TimeSeriesStore = parts["obs_store"]
         self.obs_uri: str = parts["obs_uri"]
         #: durable control-daemon state (dedup journal + lease epochs);
@@ -192,8 +178,6 @@ class ElectrochemistryICE:
         self.lease_registry: LeaseRegistry = parts["lease_registry"]
         self.lease_uri: str = parts["lease_uri"]
         self._ws_server = parts["ws_server"]
-        self._recorder_server = parts["recorder_server"]
-        self._telemetry_server = parts["telemetry_server"]
         self._obs_server = parts["obs_server"]
 
     # ------------------------------------------------------------------
@@ -278,41 +262,21 @@ class ElectrochemistryICE:
             lease_registry=lease_registry,
             workers=config.daemon_workers,
         )
-        ws_server = ACLWorkstationServer(workstation)
-        control_uri = control_daemon.register(
-            ws_server, object_id="ACL_Workstation"
-        )
-        lease_uri = control_daemon.register(
-            LeaseServer(lease_registry), object_id=LeaseServer.OBJECT_ID
-        )
-        # daemon-half black box: captures ACL-side events now and ACL-side
-        # spans once attach_observability() wires a tracer; the client pulls
-        # it over the control channel via Recorder_Dump when dumping
+        # the daemon half's observability: the black box and the live
+        # feed capture ACL-side events from build time and ACL-side spans
+        # once attach_observability() wires a tracer; the rollup store
+        # stays empty until it wires a registry. The DGX pulls all three
+        # over the control channel (Recorder_Dump, Telemetry_Poll,
+        # Obs_Scrape) and merges them with its own half
         recorder = FlightRecorder("acl-daemon", clock=clock)
-        recorder.attach_event_log(log)
-        recorder_server = FlightRecorderServer(recorder)
-        recorder_uri = control_daemon.register(
-            recorder_server,
-            object_id=FlightRecorderServer.OBJECT_ID,
-        )
-        # daemon-half live feed: ACL-side events stream from build time,
-        # ACL-side spans join once attach_observability() wires a tracer;
-        # the DGX tails it over the control channel via Telemetry_Poll
+        log.subscribe(recorder.record_event)
         telemetry_bus = TelemetryBus("acl-daemon", clock=clock)
-        telemetry_bus.attach_event_log(log)
-        telemetry_server = TelemetryServer(telemetry_bus)
-        telemetry_uri = control_daemon.register(
-            telemetry_server,
-            object_id=TelemetryServer.OBJECT_ID,
-        )
-        # daemon-half rollup store: empty until attach_observability()
-        # wires a metrics registry; the DGX scrapes it over the control
-        # channel via Obs_Scrape and merges it with its own half
+        log.subscribe(telemetry_bus.publish_event)
         obs_store = TimeSeriesStore(clock=clock)
-        obs_server = ObservabilityServer(obs_store, service="acl-daemon")
-        obs_uri = control_daemon.register(
-            obs_server,
-            object_id=ObservabilityServer.OBJECT_ID,
+        ws_server = ACLWorkstationServer(workstation)
+        obs_server = ObservabilityServer(recorder, telemetry_bus, obs_store)
+        control_uri, lease_uri, obs_uri = cls._serve_control_objects(
+            control_daemon, ws_server, lease_registry, obs_server
         )
         control_daemon.start_background()
 
@@ -357,7 +321,7 @@ class ElectrochemistryICE:
             "lifecycle",
             f"ICE up: control={control_uri} data={share_uri} "
             f"transport={config.transport} "
-            f"separate_channels={config.separate_channels}",
+            f"channel_mode={config.channel_mode}",
         )
         return cls(
             config=config,
@@ -381,9 +345,7 @@ class ElectrochemistryICE:
             control_networks=control_networks,
             data_networks=data_networks,
             recorder=recorder,
-            recorder_uri=recorder_uri,
             telemetry_bus=telemetry_bus,
-            telemetry_uri=telemetry_uri,
             obs_store=obs_store,
             obs_uri=obs_uri,
             obs_server=obs_server,
@@ -391,8 +353,25 @@ class ElectrochemistryICE:
             lease_registry=lease_registry,
             lease_uri=lease_uri,
             ws_server=ws_server,
-            recorder_server=recorder_server,
-            telemetry_server=telemetry_server,
+        )
+
+    @staticmethod
+    def _serve_control_objects(
+        daemon: Daemon,
+        ws_server: ACLWorkstationServer,
+        lease_registry: LeaseRegistry,
+        obs_server: ObservabilityServer,
+    ) -> tuple[str, str, str]:
+        """Register the control daemon's objects — the workstation, the
+        lease service and the daemon half's observability — and return
+        their URIs in that order. :meth:`build` and
+        :meth:`restart_control_daemon` both serve exactly these."""
+        return (
+            daemon.register(ws_server, object_id="ACL_Workstation"),
+            daemon.register(
+                LeaseServer(lease_registry), object_id=LeaseServer.OBJECT_ID
+            ),
+            daemon.register(obs_server, object_id=ObservabilityServer.OBJECT_ID),
         )
 
     @staticmethod
@@ -594,40 +573,15 @@ class ElectrochemistryICE:
             metrics=metrics if metrics is not None else self.metrics,
         )
 
-    def recorder_client(self, timeout: float | None = 10.0) -> Proxy:
-        """Control-channel proxy to the daemon-half flight recorder.
+    def obs_client(self, timeout: float | None = 10.0) -> Proxy:
+        """Control-channel proxy to the daemon half's observability
+        (``ACL_Observability``: ``Recorder_Dump``, ``Recorder_Note``,
+        ``Telemetry_Poll``, ``Obs_Scrape``).
 
         Deliberately short default timeout: recorder pulls happen inside
-        failure-path teardowns and must not stall a safe-state sequence
-        when the channel is partitioned.
-        """
-        return Proxy(
-            self.recorder_uri,
-            timeout=timeout,
-            connection_factory=self._factory(self.control_networks),
-            secret=self.config.control_secret,
-        )
-
-    def telemetry_client(self, timeout: float | None = 10.0) -> Proxy:
-        """Control-channel proxy to the daemon-half telemetry bus.
-
-        Short default timeout like :meth:`recorder_client`: live-feed
-        polls run inside a steering loop and must surface a partition as
-        a fast failure, never as a hung subscriber.
-        """
-        return Proxy(
-            self.telemetry_uri,
-            timeout=timeout,
-            connection_factory=self._factory(self.control_networks),
-            secret=self.config.control_secret,
-        )
-
-    def obs_client(self, timeout: float | None = 10.0) -> Proxy:
-        """Control-channel proxy to the daemon-half time-series store.
-
-        Short default timeout like :meth:`telemetry_client`: scrape
-        polls run inside an aggregator loop and a partitioned facility
-        must show up as a gap on the next poll, not a hang.
+        failure-path teardowns, feed and scrape polls inside steering and
+        aggregator loops, and a partitioned channel must surface as a
+        fast failure, never stall a safe-state sequence or hang a poll.
         """
         return Proxy(
             self.obs_uri,
@@ -639,7 +593,7 @@ class ElectrochemistryICE:
     def lease_client(self, timeout: float | None = 10.0) -> Proxy:
         """Control-channel proxy to the lease (fencing-token) service.
 
-        Short default timeout like :meth:`recorder_client`: lease
+        Short default timeout like :meth:`obs_client`: lease
         acquisition happens during session attach/reattach and must fail
         fast when the control channel is down.
         """
@@ -705,18 +659,8 @@ class ElectrochemistryICE:
             metrics=self.metrics,
             workers=self.config.daemon_workers,
         )
-        daemon.register(self._ws_server, object_id="ACL_Workstation")
-        daemon.register(
-            LeaseServer(self.lease_registry), object_id=LeaseServer.OBJECT_ID
-        )
-        daemon.register(
-            self._recorder_server, object_id=FlightRecorderServer.OBJECT_ID
-        )
-        daemon.register(
-            self._telemetry_server, object_id=TelemetryServer.OBJECT_ID
-        )
-        daemon.register(
-            self._obs_server, object_id=ObservabilityServer.OBJECT_ID
+        self._serve_control_objects(
+            daemon, self._ws_server, self.lease_registry, self._obs_server
         )
         daemon.start_background()
         self.control_daemon = daemon

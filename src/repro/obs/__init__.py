@@ -13,8 +13,8 @@ This package is the measurement substrate:
   dispatch span and the instrument-command span at ACL;
 - :mod:`repro.obs.metrics` — a :class:`MetricsRegistry` of counters,
   gauges and fixed-bucket histograms shared by every layer;
-- :mod:`repro.obs.exporters` — JSONL span files, console tables, and
-  the ``summarize`` API the benchmarks print;
+- :mod:`repro.obs.exporters` — JSONL span files and the
+  ``summarize`` API the benchmarks print;
 - :mod:`repro.obs.health` — the :class:`HealthEngine` that turns the
   raw telemetry into per-subsystem healthy/degraded/unhealthy verdicts
   (``session.health_engine.evaluate()`` and the ``require_healthy=True``
@@ -35,8 +35,9 @@ This package is the measurement substrate:
 - :mod:`repro.obs.slo` — the :class:`SLOEngine` evaluating declarative
   per-tenant objectives with fast/slow burn-rate alert pairs (the
   ``slo`` health subsystem);
-- :mod:`repro.obs.scrape` — the ``ACL_Observability`` service object and
-  the :class:`ObsAggregator` merging N facilities' scrapes into the
+- :mod:`repro.obs.scrape` — the ``ACL_Observability`` service object
+  serving a daemon half's recorder, live feed and rollups, and the
+  :class:`ObsAggregator` merging N facilities' scrapes into the
   tenant-keyed view ``repro-ice top`` renders;
 - :mod:`repro.obs.analysis` — the per-request half of the ops plane:
   the bounded :class:`TraceIndex` (schema ``repro-traceidx-1``),

@@ -1,14 +1,13 @@
 """Span exporters and trace analysis.
 
-Two sinks — a JSONL file (one span per line, the CI artifact format)
-and a console table — plus the pure functions that read traces back
-and summarize them for the benchmarks.
+One sink — a JSONL file (one span per line, the CI artifact format) —
+plus the pure functions that read traces back and summarize them for
+the benchmarks.
 """
 
 from __future__ import annotations
 
 import json
-import sys
 import threading
 from pathlib import Path
 from typing import Any, IO, Iterable, TYPE_CHECKING
@@ -117,24 +116,6 @@ class JsonlSpanExporter:
         self.close()
 
 
-class ConsoleSpanExporter:
-    """Print one line per finished span (debugging aid)."""
-
-    def __init__(self, stream: IO[str] | None = None):
-        self.stream = stream if stream is not None else sys.stderr
-        self._lock = threading.Lock()
-
-    def __call__(self, span: "Span") -> None:
-        line = (
-            f"[span] {span.name:<32} {span.duration_s * 1000:9.3f} ms "
-            f"{span.status:<6} trace={span.trace_id[:8]} "
-            f"span={span.span_id[:8]} "
-            f"parent={span.parent_id[:8] if span.parent_id else '-':<8}"
-        )
-        with self._lock:
-            print(line, file=self.stream)
-
-
 def read_jsonl_spans(path: str | Path) -> list[dict[str, Any]]:
     """Load a JSONL trace file back into span dicts (skips blank lines)."""
     spans: list[dict[str, Any]] = []
@@ -214,29 +195,6 @@ def summarize_spans(spans: Iterable[Any]) -> dict[str, dict[str, float]]:
         entry["max_s"] = max(durations)
         entry["p95_s"] = _durations_p95(durations)
     return stats
-
-
-def format_span_table(spans: Iterable[Any]) -> str:
-    """Console table of :func:`summarize_spans` output."""
-    stats = summarize_spans(spans)
-    if not stats:
-        return "(no spans recorded)"
-    name_w = max(len("span"), max(len(n) for n in stats))
-    header = (
-        f"{'span'.ljust(name_w)}  {'count':>6}  {'errors':>6}  "
-        f"{'mean ms':>10}  {'min ms':>10}  {'p95 ms':>10}  {'max ms':>10}  "
-        f"{'total s':>9}"
-    )
-    lines = [header, "-" * len(header)]
-    for name in sorted(stats):
-        e = stats[name]
-        lines.append(
-            f"{name.ljust(name_w)}  {int(e['count']):>6}  {int(e['errors']):>6}  "
-            f"{e['mean_s'] * 1000:>10.3f}  {e['min_s'] * 1000:>10.3f}  "
-            f"{e['p95_s'] * 1000:>10.3f}  {e['max_s'] * 1000:>10.3f}  "
-            f"{e['total_s']:>9.3f}"
-        )
-    return "\n".join(lines)
 
 
 def trace_tree(spans: Iterable[Any], trace_id: str | None = None) -> str:

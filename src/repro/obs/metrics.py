@@ -543,7 +543,7 @@ class MetricsRegistry:
 
         The hook for consumers that want every write by name (an
         exporter, a benchmark's write counter, a test); the time-series
-        stores and :meth:`~repro.obs.stream.TelemetryBus.observe_metrics`
+        stores and :meth:`~repro.obs.stream.TelemetryBus.publish_metric`
         take writes from :attr:`halves` instead. Listeners run
         outside the instrument lock and must never raise (exceptions
         are swallowed — observability cannot break the operation it

@@ -15,8 +15,8 @@ writes one file merging the local half with any remote halves pulled
 over the control channel; spans from both sides share trace ids (the
 ``trace`` REQUEST field propagated them at call time), so the merged
 document groups client and daemon spans under the same trace. The
-daemon half is served by :class:`FlightRecorderServer`, whose
-``Recorder_Dump`` verb returns its snapshot for the client to merge.
+daemon half is served by :class:`~repro.obs.scrape.ObservabilityServer`,
+whose ``Recorder_Dump`` verb returns its snapshot for the client to merge.
 
 Dump documents carry ``"schema": "repro-flightrec-1"``; the layout is
 documented in ``docs/OBSERVABILITY.md``.
@@ -32,19 +32,12 @@ from pathlib import Path
 from typing import Any, Callable
 
 from repro.clock import Clock, WALL
-from repro.logging_utils import Event, EventLog
+from repro.logging_utils import Event
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.primitives import Fanout
-from repro.obs.trace import DAEMON_SPAN_PREFIXES, Span
-from repro.rpc.expose import expose
+from repro.obs.trace import Span
 
 #: Schema tag stamped into every dump document.
 SCHEMA = "repro-flightrec-1"
-
-
-def is_daemon_side_span(span: Span) -> bool:
-    """Does this span belong to the ACL (daemon) half of the trace?"""
-    return span.name.startswith(DAEMON_SPAN_PREFIXES)
 
 
 class FlightRecorder:
@@ -77,48 +70,21 @@ class FlightRecorder:
         )
         self._notes: deque[dict[str, Any]] = deque(maxlen=max_events)
         self._registry: MetricsRegistry | None = None
-        self._detach_fns = Fanout()
         self.last_dump: Path | None = None
 
     # -- capture ------------------------------------------------------------
     def record_span(self, span: Span) -> None:
-        """Capture one finished span (a half of the tracer, or
-        :meth:`attach_tracer`)."""
+        """Capture one finished span. A sink: the caller adds it to a
+        span source (``tracer.add_sink``, a ``tracer.halves`` half, a
+        :class:`~repro.obs.analysis.TraceSampler`) and keeps the remover."""
         with self._lock:
             self._spans.append(span)
 
     def record_event(self, event: Event) -> None:
-        """Capture one event-log entry (normally via
-        :meth:`attach_event_log`)."""
+        """Capture one event-log entry; the caller subscribes it with
+        ``EventLog.subscribe`` and keeps the remover."""
         with self._lock:
             self._events.append(event)
-
-    def attach_tracer(
-        self,
-        source: Any,
-        only: Callable[[Span], bool] | None = None,
-    ) -> Callable[[], None]:
-        """Record finished spans from ``source``'s sink list.
-
-        ``source`` is a :class:`~repro.obs.trace.Tracer`, or a
-        :class:`~repro.obs.analysis.TraceSampler` to record kept traces
-        only. ``only`` filters which spans are captured (e.g. the daemon
-        half records only dispatch and instrument spans so the two
-        halves stay disjoint). Returns a remove callable; :meth:`detach`
-        also removes the sink.
-        """
-
-        def sink(span: Span) -> None:
-            if only(span):
-                self.record_span(span)
-
-        remove = source.add_sink(self.record_span if only is None else sink)
-        self._detach_fns.add(remove)
-        return remove
-
-    def attach_event_log(self, log: EventLog) -> None:
-        """Subscribe so every emitted event lands in the ring buffer."""
-        self._detach_fns.add(log.subscribe(self.record_event))
 
     def observe_metrics(self, registry: MetricsRegistry) -> None:
         """Remember the registry so snapshots can read it."""
@@ -144,11 +110,6 @@ class FlightRecorder:
             self._notes.append(
                 {"timestamp": self.clock.now(), "message": message, "data": data}
             )
-
-    def detach(self) -> None:
-        """Undo every span-source/event-log attachment."""
-        detach_fns, self._detach_fns = self._detach_fns, Fanout()
-        detach_fns()
 
     # -- export -------------------------------------------------------------
     def snapshot(self) -> dict[str, Any]:
@@ -196,8 +157,8 @@ class FlightRecorder:
         """Write the merged black box and return its path.
 
         Merges this half with any ``remote_snapshots`` (dicts returned by
-        :meth:`FlightRecorderServer.Recorder_Dump` on the other side),
-        via :func:`merge_snapshots`. Each call writes a distinct file
+        ``Recorder_Dump`` on the other side), via :func:`merge_snapshots`.
+        Each call writes a distinct file
         (``flightrec-<trigger>-<nonce>.json``).
         """
         halves = [self.snapshot()]
@@ -225,9 +186,9 @@ class FlightRecorder:
 
 def pull_remote_snapshots(client_fn: Callable[[], Any]) -> list[dict[str, Any]]:
     """The daemon half of the black box, via ``client_fn()``'s proxy to
-    :class:`FlightRecorderServer`. Best-effort: a partitioned channel is
-    often why a dump is happening, so any failure yields ``[]`` and the
-    client half is still written.
+    :class:`~repro.obs.scrape.ObservabilityServer`. Best-effort: a
+    partitioned channel is often why a dump is happening, so any failure
+    yields ``[]`` and the client half is still written.
     """
     try:
         with client_fn() as proxy:
@@ -305,27 +266,3 @@ def merge_snapshots(
         "traces": traces,
     }
 
-
-@expose
-class FlightRecorderServer:
-    """Control-channel face of the daemon-side recorder.
-
-    Registered on the control daemon (object id ``"ACL_FlightRecorder"``
-    by convention) next to the workstation server, so a client holding
-    the control URI can pull the remote half of the black box even when
-    the run itself just failed.
-    """
-
-    OBJECT_ID = "ACL_FlightRecorder"
-
-    def __init__(self, recorder: FlightRecorder):
-        self._recorder = recorder
-
-    def Recorder_Dump(self) -> dict[str, Any]:
-        """Return the daemon half's snapshot for client-side merging."""
-        return self._recorder.snapshot()
-
-    def Recorder_Note(self, message: str) -> bool:
-        """Let the client annotate the daemon-side recording."""
-        self._recorder.note(str(message), origin="remote")
-        return True

@@ -2,9 +2,11 @@
 the tenant-keyed aggregator behind ``repro-ice top``.
 
 One :class:`ObservabilityServer` sits on each facility's control daemon
-and pages out that facility's :class:`TimeSeriesStore` rollup rows over
-the ``Obs_Scrape`` verb — the same cursor/gap polling contract as
-``Telemetry_Poll`` (PROTOCOLS.md §1.9). An :class:`ObsAggregator` holds
+and serves that daemon half's whole observability state: its flight
+recorder (``Recorder_Dump``, ``Recorder_Note``), its live telemetry bus
+(``Telemetry_Poll``) and its :class:`TimeSeriesStore` rollup rows
+(``Obs_Scrape`` — the same cursor/gap polling contract as
+``Telemetry_Poll``, PROTOCOLS.md §1.9). An :class:`ObsAggregator` holds
 one cursor per source (in-process stores and remote daemons mix
 freely), pulls whatever is new on each :meth:`ObsAggregator.refresh`,
 and folds the rows into a single tenant-keyed view: per-tenant rates,
@@ -20,6 +22,8 @@ from collections import deque
 from typing import Any, Callable
 
 from repro.rpc.expose import expose
+from repro.obs.recorder import FlightRecorder
+from repro.obs.stream import SCHEMA as STREAM_SCHEMA, TelemetryBus
 from repro.obs.timeseries import SCHEMA, TimeSeriesStore
 
 #: Schema tag of the merged aggregator view.
@@ -31,20 +35,50 @@ UNTAGGED = "-"
 
 @expose
 class ObservabilityServer:
-    """Control-channel face of one facility's time-series store.
+    """Control-channel face of one daemon half's observability.
 
     Registered on the control daemon (object id ``"ACL_Observability"``)
-    next to the telemetry and flight-recorder servers. Cursor-based like
-    ``Telemetry_Poll``: the caller sends the highest row sequence it has
-    seen and receives only newer rollup rows plus a ``gap`` count when
-    its cursor fell off the export ring.
+    next to the workstation and lease servers, so a client holding the
+    control URI can pull the daemon half of the black box, tail its live
+    feed and scrape its rollups — even when the run itself just failed.
+    The two polls are cursor-based, because the control channel is
+    request/reply: the caller sends the highest sequence it has seen and
+    receives only newer items plus a ``gap`` count when its cursor fell
+    off the retention ring.
     """
 
     OBJECT_ID = "ACL_Observability"
 
-    def __init__(self, store: TimeSeriesStore, service: str = "acl-daemon"):
+    def __init__(
+        self, recorder: FlightRecorder, bus: TelemetryBus, store: TimeSeriesStore
+    ):
+        self._recorder = recorder
+        self._bus = bus
         self._store = store
-        self._service = service
+
+    def Recorder_Dump(self) -> dict[str, Any]:
+        """Return the daemon half's snapshot for client-side merging."""
+        return self._recorder.snapshot()
+
+    def Recorder_Note(self, message: str) -> bool:
+        """Let the client annotate the daemon-side recording."""
+        self._recorder.note(str(message), origin="remote")
+        return True
+
+    def Telemetry_Poll(
+        self, cursor: int = 0, max_events: int = 256
+    ) -> dict[str, Any]:
+        """Events newer than ``cursor``, the next cursor, and any gap."""
+        events, next_cursor, gap = self._bus.read_since(
+            int(cursor), int(max_events)
+        )
+        return {
+            "schema": STREAM_SCHEMA,
+            "service": self._bus.service,
+            "cursor": next_cursor,
+            "gap": gap,
+            "events": [e.to_wire() for e in events],
+        }
 
     def Obs_Scrape(
         self,
@@ -58,7 +92,7 @@ class ObservabilityServer:
         )
         return {
             "schema": SCHEMA,
-            "service": self._service,
+            "service": self._bus.service,
             "cursor": next_cursor,
             "gap": gap,
             "rows": rows,

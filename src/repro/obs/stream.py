@@ -15,8 +15,9 @@ flight. The pieces:
   A span, a metric write or a log entry is kept as the raw record, with
   the sequence number and timestamp of its publish; its
   :class:`TelemetryEvent` is built when a reader asks for it.
-- :class:`TelemetryServer` — the control-channel face of the
-  daemon-side bus (object id ``"ACL_Telemetry"``; the verb is spelled
+- ``Telemetry_Poll`` — the control-channel face of the daemon-side
+  bus, one verb of the daemon's ``ACL_Observability`` object
+  (:class:`~repro.obs.scrape.ObservabilityServer`; the verb is spelled
   ``Telemetry_Poll`` because the RPC layer structurally refuses
   underscore-prefixed names, the same constraint that shaped
   ``Recorder_Dump``). Polling is cursor-based: the client sends the
@@ -41,11 +42,10 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.clock import Clock, WALL
-from repro.logging_utils import Event, EventLog
+from repro.logging_utils import Event
 from repro.obs.metrics import LabelKey, MetricsRegistry, _Instrument
 from repro.obs.primitives import CursorRing, Fanout
 from repro.obs.trace import Span, current_span
-from repro.rpc.expose import expose
 
 #: Schema tag stamped into every Telemetry_Poll reply.
 SCHEMA = "repro-stream-1"
@@ -203,7 +203,11 @@ class TelemetryBus:
         clock: time source for event stamps (share the session's).
         metrics: optional registry where the ``obs.stream.dropped_total``
             counter lives. This is the registry the bus *writes*; what it
-            *watches* is whatever :meth:`observe_metrics` is given.
+            *publishes* is whatever its callers feed to
+            :meth:`publish_span`, :meth:`publish_metric` and
+            :meth:`publish_event`, each a callback they add to a source
+            (``tracer.add_sink``, ``tracer.halves``, ``registry.halves``,
+            ``EventLog.subscribe``) and remove with the remover it returns.
         history: size of the global retention ring served to remote
             cursor polls (:meth:`read_since`). Local subscribers have
             their own rings and are unaffected.
@@ -228,7 +232,6 @@ class TelemetryBus:
         self._lock = threading.Lock()
         self._history: CursorRing[tuple] = CursorRing(history)
         self._subscribers = Fanout()
-        self._detach_fns = Fanout()
         self._dropped_counter = (
             metrics.counter(
                 "obs.stream.dropped_total",
@@ -392,83 +395,6 @@ class TelemetryBus:
     def latest_seq(self) -> int:
         with self._lock:
             return self._history.seq
-
-    # -- producer attachments ----------------------------------------------
-    def attach_tracer(
-        self,
-        source: Any,
-        only: Callable[[Span], bool] | None = None,
-    ) -> Callable[[], None]:
-        """Publish every finished span as a ``span`` event.
-
-        ``source`` is a :class:`~repro.obs.trace.Tracer`, or a
-        :class:`~repro.obs.analysis.TraceSampler` to stream kept traces
-        only; the bus becomes one of its sinks. ``only`` filters which
-        spans are streamed — the session and daemon halves use it to
-        stay disjoint. Returns a remove callable; :meth:`detach` also
-        removes the sink.
-        """
-
-        def sink(span: Span) -> None:
-            if only(span):
-                self.publish_span(span)
-
-        remove = source.add_sink(self.publish_span if only is None else sink)
-        self._detach_fns.add(remove)
-        return remove
-
-    def attach_event_log(self, log: EventLog) -> None:
-        """Publish every emitted :class:`Event` (:meth:`publish_event`)."""
-        self._detach_fns.add(log.subscribe(self.publish_event))
-
-    def observe_metrics(self, registry: MetricsRegistry) -> None:
-        """Publish every write on ``registry`` (:meth:`publish_metric`).
-
-        Both of the registry's halves feed the bus: it streams every
-        write, whichever ICE half made it.
-        """
-        halves = registry.halves
-        self._detach_fns.add(halves.dgx.add(self.publish_metric))
-        self._detach_fns.add(halves.acl.add(self.publish_metric))
-
-    def detach(self) -> None:
-        """Undo every span-source/event-log/metrics attachment."""
-        detach_fns, self._detach_fns = self._detach_fns, Fanout()
-        detach_fns()
-
-
-@expose
-class TelemetryServer:
-    """Control-channel face of the daemon-side bus.
-
-    Registered on the control daemon (object id ``"ACL_Telemetry"``)
-    next to the workstation and flight-recorder servers, so a client
-    holding the control URI can tail ACL-side telemetry while a run is
-    in flight. Cursor-based rather than push-based: the simulated (and
-    real) control channel is request/reply, so the client polls with the
-    last sequence number it saw and the reply carries only newer events
-    plus a ``gap`` count when the cursor fell off the retention ring.
-    """
-
-    OBJECT_ID = "ACL_Telemetry"
-
-    def __init__(self, bus: TelemetryBus):
-        self._bus = bus
-
-    def Telemetry_Poll(
-        self, cursor: int = 0, max_events: int = 256
-    ) -> dict[str, Any]:
-        """Events newer than ``cursor``, the next cursor, and any gap."""
-        events, next_cursor, gap = self._bus.read_since(
-            int(cursor), int(max_events)
-        )
-        return {
-            "schema": SCHEMA,
-            "service": self._bus.service,
-            "cursor": next_cursor,
-            "gap": gap,
-            "events": [e.to_wire() for e in events],
-        }
 
 
 class SessionStream:

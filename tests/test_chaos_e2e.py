@@ -273,3 +273,74 @@ class TestStreamUnderPartition:
                     assert any(e.name == "test.during" for e in recovered)
         finally:
             chaos.stop()
+
+
+class TestScheduledFaults:
+    """The controller's latency spike and client crash, driven frame by
+    frame on the simulated ICE (no workflow, so they run in tier-1)."""
+
+    EXTRA_S = 0.05
+
+    def test_latency_spike_rises_then_clears(self, ice):
+        link = ice.topology.link(HOST_DGX, "ornl-wan")
+        chaos = ChaosController(ice.simnet, event_log=ice.event_log)
+        chaos.spike_latency(
+            HOST_DGX,
+            "ornl-wan",
+            after_frames=2,
+            extra_s=self.EXTRA_S,
+            duration_frames=3,
+        )
+        try:
+            owed = [
+                link.transmit(64, charge_latency=False) - link.spec.latency_s
+                for _ in range(7)
+            ]
+        finally:
+            chaos.stop()
+        # the third frame trips the spike and pays it, as do the three
+        # after it; the seventh clears it before it is charged
+        spiked = [0.0, 0.0] + [self.EXTRA_S] * 4 + [0.0]
+        assert owed == pytest.approx(spiked)
+        assert link.extra_latency_s == 0.0
+        assert [r["kind"] for r in chaos.injections] == [
+            "latency-spike",
+            "latency-clear",
+        ]
+
+    def test_stop_zeroes_a_spike_that_never_cleared(self, ice):
+        link = ice.topology.link(HOST_DGX, "ornl-wan")
+        chaos = ChaosController(ice.simnet)
+        chaos.spike_latency(
+            HOST_DGX,
+            "ornl-wan",
+            after_frames=0,
+            extra_s=self.EXTRA_S,
+            duration_frames=1000,
+        )
+        link.transmit(64, charge_latency=False)
+        assert link.extra_latency_s == self.EXTRA_S
+        chaos.stop()
+        assert link.extra_latency_s == 0.0
+        # the hook is gone too: later frames neither spike nor clear
+        link.transmit(64, charge_latency=False)
+        assert link.extra_latency_s == 0.0
+        assert [r["kind"] for r in chaos.injections] == ["latency-spike"]
+
+    def test_client_crash_drops_the_connection_and_the_next_call_redials(
+        self, ice
+    ):
+        client = ice.client()
+        client.ping()
+        proxy = client._proxy
+        assert proxy.connected
+        chaos = ChaosController(ice.simnet, event_log=ice.event_log)
+        try:
+            chaos.crash_client_mid_round(client)
+            assert not proxy.connected
+            assert [r["kind"] for r in chaos.injections] == ["client-crash"]
+            assert client.call_Cell_Status()["volume_ml"] == 0.0
+            assert proxy.connected
+        finally:
+            chaos.stop()
+            client.close()

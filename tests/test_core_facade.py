@@ -226,6 +226,20 @@ class TestUriModeSideChannels:
             }
 
 
+class TestUriModeObservability:
+    def test_one_object_answers_every_daemon_half_verb(self, secret_ice):
+        transport = TransportConfig(secret=SECRET)
+        with repro.connect(secret_ice.control_uri, transport=transport) as session:
+            with session._dial_obs() as proxy:
+                assert proxy.Recorder_Note("from the dgx") is True
+                notes = proxy.Recorder_Dump()["notes"]
+                poll = proxy.Telemetry_Poll(cursor=0)
+                scrape = proxy.Obs_Scrape(cursor=0)
+        assert [note["message"] for note in notes] == ["from the dgx"]
+        assert poll["schema"] == "repro-stream-1" and poll["events"]
+        assert scrape["schema"] == "repro-tsdb-1"
+
+
 class TestWorkflowThroughSession:
     def test_run_workflow_threads_session_observability(self, ice):
         with repro.connect(ice) as session:
@@ -279,8 +293,6 @@ class TestConfigObjects:
             TransportConfig(max_inflight=0)
         with pytest.raises(WorkflowError):
             TransportConfig(binary="yes please")
-        with pytest.raises(WorkflowError):
-            SessionConfig(health_window_s=0)
 
     def test_session_config_gates_workflows_by_default(self, ice):
         from repro.errors import HealthGateError

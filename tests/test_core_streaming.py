@@ -123,7 +123,7 @@ class TestMonitorTracing:
 
         tracer = Tracer("steering")
         bus = TelemetryBus("dgx-session")
-        bus.attach_tracer(tracer)
+        tracer.add_sink(bus.publish_span)
         client = slow_ice.client()
         start_acquisition(client)
         monitor = LiveMonitor(client, poll_interval_s=0.05, tracer=tracer)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.errors import FirewallDeniedError, NetworkError
+from repro.errors import FirewallDeniedError, NamingError, NetworkError
 from repro.facility.ice import (
     CONTROL_PORT,
     DATA_PORT,
@@ -12,6 +12,11 @@ from repro.facility.ice import (
     ElectrochemistryICE,
     ICEConfig,
 )
+from repro.rpc.naming import make_uri
+from repro.rpc.proxy import Proxy
+
+#: what the control daemon serves, sorted as ``registered_ids()`` lists it
+CONTROL_OBJECTS = ["ACL_Leases", "ACL_Observability", "ACL_Workstation"]
 
 
 class TestBuild:
@@ -32,9 +37,7 @@ class TestBuild:
         assert ice.data_networks == {"acl-hub-data", "ornl-wan-data"}
 
     def test_shared_channel_mode(self):
-        ecosystem = ElectrochemistryICE.build(
-            ICEConfig(separate_channels=False)
-        )
+        ecosystem = ElectrochemistryICE.build(ICEConfig(channel_mode="shared"))
         try:
             assert ecosystem.control_networks == ecosystem.data_networks
         finally:
@@ -64,6 +67,51 @@ class TestControlChannel:
         assert status["volume_ml"] == 0.0
         assert status["circuit_closed"] is True
         client.close()
+
+
+class TestControlDaemonObjects:
+    def test_build_and_restart_serve_the_same_objects(self, ice):
+        assert ice.control_daemon.registered_ids() == CONTROL_OBJECTS
+        ice.crash_control_daemon()
+        ice.restart_control_daemon()
+        assert ice.control_daemon.registered_ids() == CONTROL_OBJECTS
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            ICEConfig(),
+            ICEConfig(transport="tcp"),
+            ICEConfig(transport="tcp", control_secret=b"lab-secret"),
+        ],
+        ids=["sim", "tcp", "tcp-secret"],
+    )
+    def test_obs_client_answers_every_daemon_half_verb(self, config):
+        ecosystem = ElectrochemistryICE.build(config)
+        try:
+            with ecosystem.obs_client() as proxy:
+                assert proxy.Recorder_Note("from the dgx") is True
+                dump = proxy.Recorder_Dump()
+                poll = proxy.Telemetry_Poll(cursor=0)
+                scrape = proxy.Obs_Scrape(cursor=0)
+        finally:
+            ecosystem.shutdown()
+        assert dump["schema"] == "repro-flightrec-1"
+        assert [note["message"] for note in dump["notes"]] == ["from the dgx"]
+        assert poll["schema"] == "repro-stream-1" and poll["gap"] == 0
+        assert scrape["schema"] == "repro-tsdb-1" and scrape["gap"] == 0
+        assert {dump["service"], poll["service"], scrape["service"]} == {
+            "acl-daemon"
+        }
+
+    @pytest.mark.parametrize("retired", ["ACL_FlightRecorder", "ACL_Telemetry"])
+    def test_retired_object_ids_raise_naming_error(self, ice_tcp, retired):
+        host, port = ice_tcp.control_daemon.address
+        proxy = Proxy(make_uri(retired, host, port), timeout=10.0)
+        try:
+            with pytest.raises(NamingError):
+                proxy.Recorder_Dump()
+        finally:
+            proxy.close()
 
 
 class TestDataChannel:

@@ -16,13 +16,8 @@ from repro.clock import VirtualClock
 from repro.core.cv_workflow import CVWorkflowSettings
 from repro.logging_utils import EventLog
 from repro.obs import MetricsRegistry, Tracer
-from repro.obs.recorder import (
-    SCHEMA,
-    FlightRecorder,
-    FlightRecorderServer,
-    is_daemon_side_span,
-    merge_snapshots,
-)
+from repro.obs.recorder import SCHEMA, FlightRecorder, merge_snapshots
+from repro.obs.scrape import ObservabilityServer
 
 
 class TestCapture:
@@ -30,7 +25,7 @@ class TestCapture:
         clock = VirtualClock()
         tracer = Tracer("svc", clock=clock)
         recorder = FlightRecorder("svc", clock=clock, max_spans=5)
-        recorder.attach_tracer(tracer)
+        tracer.add_sink(recorder.record_span)
         for i in range(12):
             tracer.start_span(f"op{i}").end()
         snapshot = recorder.snapshot()
@@ -44,11 +39,11 @@ class TestCapture:
         seen = []
         tracer = Tracer("svc", exporter=seen.append)
         recorder = FlightRecorder("svc")
-        recorder.attach_tracer(tracer)
+        remove = tracer.add_sink(recorder.record_span)
         tracer.start_span("op").end()
         assert len(seen) == 1  # the earlier sink still fires
         assert len(recorder.snapshot()["spans"]) == 1
-        recorder.detach()
+        remove()
         tracer.start_span("after").end()
         assert len(seen) == 2
         assert len(recorder.snapshot()["spans"]) == 1
@@ -56,11 +51,9 @@ class TestCapture:
     def test_only_filter_splits_the_halves(self):
         tracer = Tracer("shared")
         daemon_half = FlightRecorder("acl-daemon")
-        daemon_half.attach_tracer(tracer, only=is_daemon_side_span)
+        tracer.halves.acl.add(daemon_half.record_span)
         client_half = FlightRecorder("dgx-session")
-        client_half.attach_tracer(
-            tracer, only=lambda s: not is_daemon_side_span(s)
-        )
+        tracer.halves.dgx.add(client_half.record_span)
         tracer.start_span("rpc.call.Status_JKem").end()
         tracer.start_span("rpc.dispatch.Status_JKem").end()
         tracer.start_span("instrument.Status_JKem").end()
@@ -75,7 +68,7 @@ class TestCapture:
     def test_event_log_subscription_and_notes(self):
         log = EventLog()
         recorder = FlightRecorder("svc", clock=VirtualClock())
-        recorder.attach_event_log(log)
+        log.subscribe(recorder.record_event)
         log.emit("cell", "halt", "overflow guard tripped", volume_ml=25.0)
         recorder.note("operator paged", severity="high")
         snapshot = recorder.snapshot()
@@ -183,7 +176,7 @@ class TestDump:
 
 class TestRecorderServer:
     def test_recorder_dump_verb_over_the_control_channel(self, ice):
-        proxy = ice.recorder_client()
+        proxy = ice.obs_client()
         try:
             assert proxy.Recorder_Note("client says hello") is True
             snapshot = proxy.Recorder_Dump()
@@ -198,7 +191,7 @@ class TestRecorderServer:
         assert isinstance(snapshot["events"], list)
 
     def test_server_object_id_is_stable(self):
-        assert FlightRecorderServer.OBJECT_ID == "ACL_FlightRecorder"
+        assert ObservabilityServer.OBJECT_ID == "ACL_Observability"
 
 
 @pytest.mark.chaos

@@ -8,6 +8,7 @@ import pytest
 import repro
 from repro.clock import VirtualClock
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.recorder import FlightRecorder
 from repro.obs.scrape import (
     ObsAggregator,
     ObservabilityServer,
@@ -15,6 +16,7 @@ from repro.obs.scrape import (
     VIEW_SCHEMA,
     format_top,
 )
+from repro.obs.stream import TelemetryBus
 from repro.obs.timeseries import SCHEMA as TSDB_SCHEMA, TimeSeriesStore
 from repro.rpc.context import reset_current_tenant, set_current_tenant
 
@@ -37,7 +39,9 @@ def _store_with_traffic(tenants=("lab-a",), errors=0):
 class TestObservabilityServer:
     def test_scrape_reply_shape(self):
         _, _, store = _store_with_traffic()
-        server = ObservabilityServer(store, service="unit")
+        server = ObservabilityServer(
+            FlightRecorder("unit"), TelemetryBus("unit"), store
+        )
         reply = server.Obs_Scrape()
         assert reply["schema"] == TSDB_SCHEMA
         assert reply["service"] == "unit"

@@ -12,6 +12,8 @@ from repro.core.cv_workflow import CVWorkflowSettings
 from repro.clock import VirtualClock
 from repro.logging_utils import EventLog
 from repro.obs import MetricsRegistry, Tracer
+from repro.obs.recorder import FlightRecorder
+from repro.obs.scrape import ObservabilityServer
 from repro.obs.stream import (
     KIND_METRIC,
     KIND_SPAN,
@@ -20,10 +22,17 @@ from repro.obs.stream import (
     SessionStream,
     TelemetryBus,
     TelemetryEvent,
-    TelemetryServer,
 )
+from repro.obs.timeseries import TimeSeriesStore
 
 FAST = CVWorkflowSettings(e_step_v=0.002)
+
+
+def _server(bus):
+    """The daemon half's server object, serving ``bus``."""
+    return ObservabilityServer(
+        FlightRecorder(bus.service), bus, TimeSeriesStore()
+    )
 
 
 class TestTelemetryBus:
@@ -77,7 +86,7 @@ class TestTelemetryBus:
         clock = VirtualClock()
         bus = TelemetryBus("dgx-session", clock=clock)
         tracer = Tracer("t", clock=clock)
-        bus.attach_tracer(tracer)
+        remove = tracer.add_sink(bus.publish_span)
         with bus.subscribe() as sub:
             with tracer.start_as_current_span("op.one") as span:
                 clock.advance(0.5)
@@ -89,7 +98,7 @@ class TestTelemetryBus:
         assert event.trace_id == span.trace_id
         assert event.data["duration_s"] == pytest.approx(0.5)
         assert event.data["attributes"]["k"] == "v"
-        bus.detach()
+        remove()
 
     def test_attach_tracer_filter_and_earlier_sink(self):
         clock = VirtualClock()
@@ -97,27 +106,28 @@ class TestTelemetryBus:
         tracer = Tracer("t", clock=clock)
         exported = []
         tracer.add_sink(exported.append)
-        detach = bus.attach_tracer(
-            tracer, only=lambda s: s.name.startswith("keep.")
-        )
+        # the daemon half of the tracer filters: only dispatch and
+        # instrument spans reach the bus
+        remove = tracer.halves.acl.add(bus.publish_span)
         with bus.subscribe() as sub:
-            tracer.start_as_current_span("keep.this").end()
-            tracer.start_as_current_span("drop.this").end()
+            tracer.start_as_current_span("rpc.dispatch.keep").end()
+            tracer.start_as_current_span("rpc.call.drop").end()
             names = [e.name for e in sub.poll()]
-            # detaching removes the bus's sink, not the earlier one
-            detach()
-            tracer.start_as_current_span("keep.after").end()
+            # removing takes the bus's sink away, not the earlier one
+            remove()
+            tracer.start_as_current_span("rpc.dispatch.after").end()
             assert sub.poll() == []
-        assert names == ["keep.this"]
+        assert names == ["rpc.dispatch.keep"]
         # the earlier sink still sees everything
         assert [s.name for s in exported] == [
-            "keep.this", "drop.this", "keep.after",
+            "rpc.dispatch.keep", "rpc.call.drop", "rpc.dispatch.after",
         ]
 
     def test_metric_updates_flow_without_feedback_loop(self):
         metrics = MetricsRegistry()
         bus = TelemetryBus("dgx-session", clock=VirtualClock(), metrics=metrics)
-        bus.observe_metrics(metrics)
+        metrics.halves.dgx.add(bus.publish_metric)
+        metrics.halves.acl.add(bus.publish_metric)
         with bus.subscribe() as sub:
             metrics.counter("rpc.calls_total").inc(verb="Status_JKem")
             metrics.gauge("cell.volume_ml").set(5.0)
@@ -135,7 +145,7 @@ class TestTelemetryBus:
     def test_event_log_entries_are_published(self):
         bus = TelemetryBus("acl-daemon", clock=VirtualClock())
         log = EventLog(clock_fn=bus.clock.now)
-        bus.attach_event_log(log)
+        log.subscribe(bus.publish_event)
         with bus.subscribe() as sub:
             log.emit("jkem", "pump.dispense", "5 ml", volume_ml=5.0)
             events = sub.poll()
@@ -156,7 +166,7 @@ class TestTelemetryBus:
 class TestTelemetryServer:
     def test_poll_verb_serves_the_daemon_bus(self, ice):
         ice.telemetry_bus.publish("event", "test.ping", payload=1)
-        proxy = ice.telemetry_client()
+        proxy = ice.obs_client()
         try:
             reply = proxy.Telemetry_Poll(cursor=0)
         finally:
@@ -169,7 +179,7 @@ class TestTelemetryServer:
         assert reply["cursor"] >= 1
 
     def test_poll_cursor_advances_incrementally(self, ice):
-        proxy = ice.telemetry_client()
+        proxy = ice.obs_client()
         try:
             first = proxy.Telemetry_Poll(cursor=0)
             ice.telemetry_bus.publish("event", "test.after")
@@ -184,7 +194,7 @@ class TestTelemetryServer:
 
     def test_direct_server_reports_gap(self):
         bus = TelemetryBus("acl-daemon", clock=VirtualClock(), history=2)
-        server = TelemetryServer(bus)
+        server = _server(bus)
         for i in range(5):
             bus.publish("event", f"e{i}")
         reply = server.Telemetry_Poll(cursor=0)
@@ -258,7 +268,7 @@ class TestSessionStream:
         metrics = MetricsRegistry()
         local = TelemetryBus("dgx-session", clock=VirtualClock(), metrics=metrics)
         remote = TelemetryBus("acl-daemon", clock=VirtualClock(), history=2)
-        server = TelemetryServer(remote)
+        server = _server(remote)
 
         class InProcessClient:
             def Telemetry_Poll(self, cursor=0, max_events=256):

@@ -540,7 +540,6 @@ class FleetCampaign:
     Args:
         campaigns: cell name -> ready-to-run :class:`Campaign` (each
             with its *own* ICE).
-        max_workers: concurrency bound (default: one thread per cell).
         tracer: optional tracer; cells run under ``fleet.cell`` spans
             parented to one ``fleet.run`` root.
         metrics: optional registry; receives the ``fleet.cells_total``
@@ -554,7 +553,6 @@ class FleetCampaign:
     def __init__(
         self,
         campaigns: dict[str, Campaign],
-        max_workers: int | None = None,
         tracer: Any = None,
         metrics: Any = None,
         require_healthy: bool = False,
@@ -562,7 +560,6 @@ class FleetCampaign:
         if not campaigns:
             raise WorkflowError("a fleet needs at least one campaign")
         self.campaigns = dict(campaigns)
-        self.max_workers = max_workers
         self.tracer = tracer
         self.metrics = metrics
         self.require_healthy = require_healthy
@@ -581,10 +578,9 @@ class FleetCampaign:
             if self.tracer is not None
             else None
         )
-        workers = self.max_workers or len(self.campaigns)
         try:
             with ThreadPoolExecutor(
-                max_workers=max(1, workers), thread_name_prefix="fleet"
+                max_workers=len(self.campaigns), thread_name_prefix="fleet"
             ) as pool:
                 futures = {
                     name: pool.submit(self._run_cell, name, campaign, root)

@@ -12,15 +12,14 @@ Design goals, in the order the paper motivates them:
 - **transcript** — every state change lands in an
   :class:`~repro.logging_utils.EventLog`, which is what the figure
   benchmarks print;
-- **optional parallelism** — independent ready tasks can run on a thread
-  pool (``max_workers > 1``), since instrument waits are I/O-shaped.
+- **one thread** — ready tasks run one at a time on the caller's thread,
+  in registration order, as the paper's notebook runs tasks A-E.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Callable
@@ -136,7 +135,6 @@ class Workflow:
     Args:
         name: workflow label for transcripts.
         event_log: shared log; a fresh one is created if omitted.
-        max_workers: thread budget for independent ready tasks.
         clock: time source for retry pauses, so a workflow under a
             :class:`~repro.clock.VirtualClock` retries without real
             sleeping.
@@ -152,16 +150,12 @@ class Workflow:
         self,
         name: str,
         event_log: EventLog | None = None,
-        max_workers: int = 1,
         clock: Clock | None = None,
         tracer: Any = None,
         metrics: Any = None,
     ):
-        if max_workers < 1:
-            raise DependencyError("max_workers must be >= 1")
         self.name = name
         self.log = event_log if event_log is not None else EventLog()
-        self.max_workers = max_workers
         self.clock = clock or WALL
         self.tracer = tracer
         self.metrics = metrics
@@ -271,7 +265,6 @@ class Workflow:
             name: TaskResult(name=name, state=TaskState.PENDING)
             for name in self._tasks
         }
-        lock = threading.Lock()
         self.log.emit(self.name, "workflow", f"run started ({len(results)} tasks)")
         run_span = (
             self.tracer.start_as_current_span(
@@ -357,8 +350,6 @@ class Workflow:
             record.state = TaskState.RUNNING
             record.started_at = time.monotonic()
             self.log.emit(self.name, "task", f"{task.name} started")
-            # pool threads do not inherit the contextvar, so the task
-            # span parents on the run span explicitly
             task_span = (
                 self.tracer.start_span(f"task.{task.name}", parent=run_span)
                 if self.tracer is not None
@@ -402,10 +393,9 @@ class Workflow:
                         if delay > 0:
                             self.clock.sleep(delay)
                     continue
-                with lock:
-                    record.state = TaskState.SUCCEEDED
-                    record.result = outcome
-                    record.finished_at = time.monotonic()
+                record.state = TaskState.SUCCEEDED
+                record.result = outcome
+                record.finished_at = time.monotonic()
                 self.log.emit(
                     self.name,
                     "task",
@@ -413,56 +403,29 @@ class Workflow:
                 )
                 finish_task(record, task, task_span)
                 return
-            with lock:
-                record.state = TaskState.FAILED
-                record.error = last_error
-                record.finished_at = time.monotonic()
+            record.state = TaskState.FAILED
+            record.error = last_error
+            record.finished_at = time.monotonic()
             self.log.emit(self.name, "task", f"{task.name} FAILED: {last_error}")
             finish_task(record, task, task_span)
 
-        if self.max_workers == 1:
-            progressed = True
-            while progressed:
-                progressed = False
-                for task in ready_tasks():
-                    execute(task)
-                    progressed = True
-                    if (
-                        abort_on_failure
-                        and results[task.name].state is TaskState.FAILED
-                    ):
-                        break
-                if abort_on_failure and any(
-                    r.state is TaskState.FAILED for r in results.values()
+        progressed = True
+        while progressed:
+            progressed = False
+            for task in ready_tasks():
+                execute(task)
+                progressed = True
+                if (
+                    abort_on_failure
+                    and results[task.name].state is TaskState.FAILED
                 ):
-                    # let ready_tasks() mark the rest skipped, then stop
-                    ready_tasks()
                     break
-        else:
-            with ThreadPoolExecutor(max_workers=self.max_workers) as pool:
-                in_flight: dict[Future, str] = {}
-                scheduled: set[str] = set()
-                while True:
-                    failed = any(
-                        r.state is TaskState.FAILED for r in results.values()
-                    )
-                    if not (abort_on_failure and failed):
-                        for task in ready_tasks():
-                            if task.name not in scheduled:
-                                scheduled.add(task.name)
-                                future = pool.submit(execute, task)
-                                in_flight[future] = task.name
-                    else:
-                        ready_tasks()  # mark skips
-                    if not in_flight:
-                        if abort_on_failure and failed:
-                            ready_tasks()  # final skip pass
-                        break
-                    done, _pending = wait(
-                        list(in_flight), return_when=FIRST_COMPLETED
-                    )
-                    for future in done:
-                        in_flight.pop(future)
+            if abort_on_failure and any(
+                r.state is TaskState.FAILED for r in results.values()
+            ):
+                # let ready_tasks() mark the rest skipped, then stop
+                ready_tasks()
+                break
 
         self.log.emit(
             self.name,

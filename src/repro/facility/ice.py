@@ -101,11 +101,6 @@ class ICEConfig:
             deliberately survives :meth:`ElectrochemistryICE.crash_control_daemon`
             with ``keep_disk=True`` and is what a restarted daemon
             replays.
-        daemon_workers: dispatch worker threads per daemon. 0 (default)
-            executes handlers inline on the reactor thread — fastest
-            for the short, non-blocking instrument verbs; N > 0 moves
-            execution to a small pool so a slow handler cannot stall
-            the event loop (per-connection ordering is preserved).
     """
 
     workstation: WorkstationConfig = field(default_factory=WorkstationConfig)
@@ -116,15 +111,10 @@ class ICEConfig:
     control_secret: bytes | None = None
     channel_mode: str = "separate"
     durability_dir: Path | None = None
-    daemon_workers: int = 0
 
     def __post_init__(self) -> None:
         if self.transport not in ("sim", "tcp"):
             raise NetworkError(f"unknown transport {self.transport!r}")
-        if self.daemon_workers < 0:
-            raise NetworkError(
-                f"daemon_workers must be >= 0, got {self.daemon_workers}"
-            )
         if self.channel_mode not in ("separate", "shared", "priority"):
             raise NetworkError(f"unknown channel mode {self.channel_mode!r}")
 
@@ -260,7 +250,6 @@ class ElectrochemistryICE:
             secret=config.control_secret,
             dedup_journal=DedupJournal(durability_dir / "control-dedup.jsonl"),
             lease_registry=lease_registry,
-            workers=config.daemon_workers,
         )
         # the daemon half's observability: the black box and the live
         # feed capture ACL-side events from build time and ACL-side spans
@@ -281,9 +270,7 @@ class ElectrochemistryICE:
         control_daemon.start_background()
 
         share = FileShareService(measurement_dir, share_name="acl-measurements")
-        data_daemon = Daemon(
-            listener=data_listener, event_log=log, workers=config.daemon_workers
-        )
+        data_daemon = Daemon(listener=data_listener, event_log=log)
         share_uri = data_daemon.register(share, object_id="ACL_Share")
         data_daemon.start_background()
 
@@ -297,7 +284,6 @@ class ElectrochemistryICE:
             listener=characterization_listener,
             event_log=log,
             secret=config.control_secret,
-            workers=config.daemon_workers,
         )
         characterization_uri = characterization_daemon.register(
             CharacterizationServer(characterization),
@@ -657,7 +643,6 @@ class ElectrochemistryICE:
             lease_registry=self.lease_registry,
             tracer=self.tracer,
             metrics=self.metrics,
-            workers=self.config.daemon_workers,
         )
         self._serve_control_objects(
             daemon, self._ws_server, self.lease_registry, self._obs_server

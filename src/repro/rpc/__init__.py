@@ -16,8 +16,8 @@ reimplements the subset the paper uses, with the same shape:
   daemon alive as the benchmark baseline and mixed-version interop peer;
 - :class:`Proxy` connects to a URI and forwards attribute calls; built
   with ``max_inflight > 1`` it pipelines requests (PROTOCOLS §1.4) and
-  offers :meth:`Proxy.pipeline` for explicit bursts;
-- :class:`ProxyPool` hands out independent connections to one endpoint;
+  offers :meth:`Proxy.pipeline` for explicit bursts; each proxy is one
+  connection, so independent connections are independent proxies;
 - :class:`NameServer` maps logical names to URIs, itself served by a daemon.
 
 Serialisation is JSON with explicit type tags (bytes, ndarray, tuple, set,
@@ -52,7 +52,7 @@ from repro.rpc.serialization import (
 )
 from repro.rpc.daemon import Daemon
 from repro.rpc.threaded import ThreadedDaemon
-from repro.rpc.proxy import PendingReply, Pipeline, Proxy, ProxyPool
+from repro.rpc.proxy import PendingReply, Pipeline, Proxy
 from repro.rpc.naming import (
     NameServer,
     PyroURI,
@@ -74,7 +74,6 @@ __all__ = [
     "Daemon",
     "ThreadedDaemon",
     "Proxy",
-    "ProxyPool",
     "Pipeline",
     "PendingReply",
     "NameServer",

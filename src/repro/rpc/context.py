@@ -6,11 +6,11 @@ by the dispatch layer itself. The multi-tenant gateway needs one of
 them — the ``tenant`` id — *inside* the handler, so the daemon stashes
 it in a :mod:`contextvars` variable for the duration of each dispatch.
 
-Context variables are the right vehicle here because dispatch may run
-on the reactor thread (``workers=0``) or on a worker-pool thread
-(``workers>0``): either way the set/reset pair brackets exactly one
-request on exactly one thread, and nested in-process calls (a handler
-calling another service directly) inherit the outer request's tenant.
+Context variables are the right vehicle here because dispatch runs on
+the reactor thread or on a per-connection reader thread: either way the
+set/reset pair brackets exactly one request on exactly one thread, and
+nested in-process calls (a handler calling another service directly)
+inherit the outer request's tenant.
 """
 
 from __future__ import annotations

@@ -10,10 +10,8 @@ Serving has two modes, chosen by the listener's capabilities:
   selector-driven event loop (:mod:`repro.rpc.reactor`) serves every
   connection — per-connection read/write buffers, bounded outboxes with
   explicit backpressure, and burst-coalesced syscalls. Dispatch runs
-  inline on the loop by default (``workers=0``, fastest for short
-  verbs) or on a small worker pool (``workers=N``) when handlers block
-  on instruments; either way calls from one connection execute in
-  order, exactly like the old thread-per-connection daemon.
+  inline on the loop, so calls from one connection execute in order,
+  exactly like the old thread-per-connection daemon.
 - **threaded** (the simulated ICE network, delayed loopback): those
   transports are condition-variable byte pipes with no descriptor to
   select on, so each connection gets a blocking reader thread sharing
@@ -34,12 +32,11 @@ Dispatch rules (identical in both modes):
 
 from __future__ import annotations
 
-import queue
 import threading
 import time
 import traceback
 import uuid
-from collections import OrderedDict, deque
+from collections import OrderedDict
 from typing import Any
 
 from repro.errors import (
@@ -163,48 +160,6 @@ class DedupCache:
             return len(self._done)
 
 
-class _WorkerPool:
-    """Tiny fixed-size pool of daemon threads for blocking dispatch.
-
-    Not ``concurrent.futures``: its threads are non-daemonic and joined
-    at interpreter exit, which would let one wedged instrument handler
-    hang a crash test forever. These workers die with the process.
-    """
-
-    def __init__(self, size: int):
-        self._tasks: queue.Queue[tuple[Any, tuple] | None] = queue.Queue()
-        self._threads = [
-            threading.Thread(
-                target=self._run, name=f"repro-daemon-worker-{i}", daemon=True
-            )
-            for i in range(size)
-        ]
-        for thread in self._threads:
-            thread.start()
-
-    def submit(self, fn: Any, *args: Any) -> None:
-        self._tasks.put((fn, args))
-
-    def _run(self) -> None:
-        while True:
-            item = self._tasks.get()
-            if item is None:
-                return
-            fn, args = item
-            try:
-                fn(*args)
-            except Exception:  # noqa: BLE001 - jobs handle their own errors
-                pass
-
-    def stop(self, deadline: float) -> list[str]:
-        """Signal workers to exit and join them; returns stragglers."""
-        for _ in self._threads:
-            self._tasks.put(None)
-        for thread in self._threads:
-            thread.join(timeout=max(0.0, deadline - time.monotonic()))
-        return [t.name for t in self._threads if t.is_alive()]
-
-
 class _ThreadedClient:
     """Adapter giving a blocking transport connection the dispatch-core
     surface (``reply``/``peer``) that :class:`ReactorClient` provides."""
@@ -258,12 +213,6 @@ class Daemon:
             carrying a ``lease`` token are checked against it before
             dispatch; a stale epoch is rejected with ``LEASE_FENCED``
             (counted in ``fenced_count``) and never executes.
-        workers: reactor-mode dispatch concurrency. 0 (default) runs
-            handlers inline on the event loop — fastest for short verbs,
-            but a handler that blocks on an instrument stalls every
-            connection. N > 0 runs handlers on N pooled threads with
-            per-connection ordering preserved; use this for daemons whose
-            verbs genuinely block (acquisitions, file I/O).
         max_outbox_bytes: per-connection outbound buffer bound before
             backpressure pauses reading from that client.
         max_wire_version: highest protocol version this daemon speaks;
@@ -286,7 +235,6 @@ class Daemon:
         metrics: Any = None,
         dedup_journal: Any = None,
         lease_registry: Any = None,
-        workers: int = 0,
         max_outbox_bytes: int = DEFAULT_MAX_OUTBOX_BYTES,
         max_wire_version: int = BINARY_VERSION,
     ):
@@ -301,11 +249,8 @@ class Daemon:
         self._dedup = DedupCache(dedup_capacity)
         self._dedup_wait_s = dedup_wait_s
         self._dedup_journal = dedup_journal
-        self._workers = max(0, int(workers))
-        self._pool: _WorkerPool | None = None
         self._max_outbox_bytes = max_outbox_bytes
         self._max_wire_version = max_wire_version
-        self._dispatch_lock = threading.Lock()
         self.lease_registry = lease_registry
         self.log = event_log if event_log is not None else EventLog()
         self.call_count = 0
@@ -323,7 +268,6 @@ class Daemon:
                 on_connect=self._reactor_connect,
                 on_frame=self._reactor_frame,
                 on_frame_error=self._reactor_frame_error,
-                on_disconnect=self._reactor_disconnect,
                 max_outbox_bytes=max_outbox_bytes,
                 metrics_provider=lambda: self.metrics,
             )
@@ -402,7 +346,6 @@ class Daemon:
         if self._running.is_set():
             return
         self._running.set()
-        self._start_pool()
         if self._reactor is not None:
             self._reactor.start_background()
             return
@@ -414,15 +357,10 @@ class Daemon:
     def request_loop(self) -> None:
         """Blocking serve loop; returns after :meth:`shutdown`."""
         self._running.set()
-        self._start_pool()
         if self._reactor is not None:
             self._reactor.run()
         else:
             self._accept_loop()
-
-    def _start_pool(self) -> None:
-        if self._workers > 0 and self._pool is None and self._reactor is not None:
-            self._pool = _WorkerPool(self._workers)
 
     def _accept_loop(self) -> None:
         while self._running.is_set():
@@ -451,11 +389,11 @@ class Daemon:
         """Stop serving, drop all live connections, and join handlers.
 
         Joins the serving threads (reactor loop or accept + per-connection
-        handlers) and any worker pool under one shared ``join_timeout_s``
-        deadline, so callers (tests, the crash/restart helper) observe a
-        quiescent daemon deterministically rather than racing abandoned
-        daemon threads. :attr:`quiescent` reports whether every thread
-        actually exited in time.
+        handlers) under one shared ``join_timeout_s`` deadline, so callers
+        (tests, the crash/restart helper) observe a quiescent daemon
+        deterministically rather than racing abandoned daemon threads.
+        :attr:`quiescent` reports whether every thread actually exited in
+        time.
         """
         if not self._running.is_set() and self._accept_thread is None:
             if self._reactor is not None:
@@ -491,9 +429,6 @@ class Daemon:
             stragglers.extend(t.name for t in threads if t.is_alive())
             with self._lock:
                 self._client_threads.clear()
-        if self._pool is not None:
-            stragglers.extend(self._pool.stop(deadline))
-            self._pool = None
         self.quiescent = not stragglers
         self._close_dedup_journal()
         if stragglers:
@@ -528,7 +463,6 @@ class Daemon:
         for conn in connections:
             conn.close()
         self._accept_thread = None
-        self._pool = None
         # process memory is gone: the cache resets to empty, and the
         # journal handle closes without any graceful draining
         self._dedup = DedupCache(self._dedup.capacity)
@@ -562,42 +496,7 @@ class Daemon:
         if client.data.get("stage") == "auth":
             self._check_auth(client, msg)
             return
-        if self._pool is None:
-            self._dispatch(client, msg)
-            return
-        # per-connection ordered queue: at most one worker drains a given
-        # connection at a time, preserving the old thread-per-connection
-        # execution order while letting connections run in parallel
-        with self._dispatch_lock:
-            pending: deque = client.data.setdefault("pending", deque())
-            pending.append(msg)
-            if client.data.get("draining"):
-                return
-            client.data["draining"] = True
-        self._pool.submit(self._drain_client, client)
-
-    def _drain_client(self, client: ReactorClient) -> None:
-        try:
-            while True:
-                with self._dispatch_lock:
-                    pending = client.data.get("pending")
-                    if not pending or client.closed:
-                        # a dropped peer's leftover frames are dead work:
-                        # executing them would only raise on reply
-                        if pending:
-                            pending.clear()
-                        client.data["draining"] = False
-                        return
-                    msg = pending.popleft()
-                self._dispatch(client, msg)
-        except BaseException:
-            # _dispatch swallows dead-peer reply errors; anything that
-            # still escapes must not leave ``draining`` stuck True, or
-            # every later frame from this connection queues forever with
-            # no worker assigned to it
-            with self._dispatch_lock:
-                client.data["draining"] = False
-            raise
+        self._dispatch(client, msg)
 
     def _dispatch(self, client: Any, msg: Message) -> None:
         try:
@@ -613,12 +512,6 @@ class Daemon:
     def _reactor_frame_error(self, client: ReactorClient, exc: Exception) -> None:
         # A malformed frame poisons stream framing: report and drop.
         self._try_reply_error(client, 0, exc)
-
-    def _reactor_disconnect(self, client: ReactorClient) -> None:
-        with self._dispatch_lock:
-            pending = client.data.get("pending")
-            if pending:
-                pending.clear()
 
     def _check_auth(self, client: ReactorClient, msg: Message) -> None:
         if self._verify_auth(client, client.data.get("nonce", b""), msg):
@@ -857,7 +750,7 @@ class Daemon:
     def _execute_request(self, client: Any, msg: Message, record) -> None:
         # bind the request's tenant for the whole dispatch (handlers read
         # it via repro.rpc.context.current_tenant); reset in the finally
-        # because reactor/worker threads serve many tenants back to back
+        # because the reactor thread serves many tenants back to back
         tenant_token = set_current_tenant(request_tenant(msg.body))
         try:
             self._execute_request_inner(client, msg, record)

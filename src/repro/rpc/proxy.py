@@ -20,7 +20,7 @@ is reading. The default window of 1 is lockstep. A proxy built with
 executions instead of N round trips. Threads sharing the proxy overlap
 automatically; a single thread can burst explicitly through
 :meth:`Proxy.pipeline`. Callers that want truly independent connections
-instead of a multiplexed one use :class:`ProxyPool`.
+instead of a multiplexed one open one :class:`Proxy` each.
 """
 
 from __future__ import annotations
@@ -580,9 +580,9 @@ class Proxy:
         """Invoke a remote method by name: ``proxy.call("Start", ch=1)``.
 
         The explicit spelling of ``proxy.Start(ch=1)`` — it reads the
-        same on :class:`Proxy`, :class:`ProxyPool` and the resilient
-        wrapper, which is what lets orchestration code swap one for
-        another without touching call sites.
+        same on :class:`Proxy` and the resilient wrapper, which is what
+        lets orchestration code swap one for the other without touching
+        call sites.
         """
         return self._call(method, args, kwargs)
 
@@ -815,227 +815,3 @@ class Pipeline:
             self._issued.clear()
             return
         self.drain()
-
-
-class ProxyPool:
-    """A small pool of independent connections to one endpoint.
-
-    Pipelining multiplexes one connection; a pool hands out *separate*
-    connections, so concurrent callers (fleet-campaign threads, parallel
-    fetch loops) never share a byte stream at all. Members are created
-    lazily up to ``size`` and reused; :meth:`acquire` blocks while all
-    are checked out.
-
-    Resilience threads through per the PR-1 layer: pass ``retry_policy``
-    (and optionally ``breaker``) and every member is wrapped in a
-    :class:`~repro.resilience.ResilientProxy` — with **one** circuit
-    breaker shared pool-wide, because the endpoint's health is a
-    property of the endpoint, not of whichever pooled connection
-    observed the failure.
-
-    Args:
-        uri: ``PYRO:`` URI every member dials.
-        size: maximum concurrent connections.
-        timeout / connection_factory / secret / tracer / metrics /
-            max_inflight: forwarded to each member :class:`Proxy`.
-        retry_policy: wrap members in ResilientProxy with this policy.
-        breaker: shared breaker; default-constructed when a
-            ``retry_policy`` is given without one.
-        proxy_factory: full override — zero-arg callable building one
-            member (the ICE uses this to inject its simulated dialer).
-    """
-
-    def __init__(
-        self,
-        uri: str | PyroURI,
-        size: int = 4,
-        *,
-        timeout: float | None = 10.0,
-        connection_factory: Callable[[str, int], Connection] | None = None,
-        secret: bytes | None = None,
-        tracer: Any = None,
-        metrics: Any = None,
-        max_inflight: int = 1,
-        binary: bool | str = "auto",
-        retry_policy: Any = None,
-        breaker: Any = None,
-        proxy_factory: Callable[[], Any] | None = None,
-    ):
-        if size < 1:
-            raise ValueError(f"pool size must be >= 1, got {size}")
-        self._uri = parse_uri(uri)
-        self.size = size
-        self._timeout = timeout
-        self._connection_factory = connection_factory
-        self._secret = secret
-        self.tracer = tracer
-        self.metrics = metrics
-        self._max_inflight = max_inflight
-        self._binary = binary
-        self._retry_policy = retry_policy
-        if retry_policy is not None and breaker is None:
-            from repro.resilience.policy import CircuitBreaker
-
-            breaker = CircuitBreaker(metrics=metrics, name=str(self._uri))
-        self._breaker = breaker
-        self._proxy_factory = proxy_factory
-        self._cond = threading.Condition(threading.Lock())
-        self._idle: list[Any] = []
-        self._created = 0
-        self._closed = False
-
-    @property
-    def breaker(self) -> Any:
-        """The endpoint's shared circuit breaker (None when unwrapped)."""
-        return self._breaker
-
-    @property
-    def in_use(self) -> int:
-        with self._cond:
-            return self._created - len(self._idle)
-
-    def _make_member(self) -> Any:
-        if self._proxy_factory is not None:
-            proxy = self._proxy_factory()
-        else:
-            proxy = Proxy(
-                self._uri,
-                timeout=self._timeout,
-                connection_factory=self._connection_factory,
-                secret=self._secret,
-                tracer=self.tracer,
-                metrics=self.metrics,
-                max_inflight=self._max_inflight,
-                binary=self._binary,
-            )
-        if self._retry_policy is not None or self._breaker is not None:
-            from repro.resilience.proxy import ResilientProxy
-
-            proxy = ResilientProxy(
-                proxy,
-                policy=self._retry_policy,
-                breaker=self._breaker,
-                tracer=self.tracer,
-                metrics=self.metrics,
-            )
-        return proxy
-
-    def _checkout(self, timeout: float | None = None) -> Any:
-        with self._cond:
-            while True:
-                if self._closed:
-                    raise CommunicationError("proxy pool is closed")
-                if self._idle:
-                    return self._idle.pop()
-                if self._created < self.size:
-                    self._created += 1
-                    break
-                if not self._cond.wait(timeout):
-                    raise _errors_module.CallTimeoutError(
-                        f"no pooled connection to {self._uri} became free "
-                        f"within {timeout}s"
-                    )
-        try:
-            return self._make_member()
-        except BaseException:
-            with self._cond:
-                self._created -= 1
-                self._cond.notify()
-            raise
-
-    def _checkin(self, proxy: Any) -> None:
-        with self._cond:
-            if not self._closed:
-                self._idle.append(proxy)
-                self._cond.notify()
-                return
-        proxy.close()
-
-    class _Lease:
-        """Context manager pairing one checkout with its checkin."""
-
-        __slots__ = ("_pool", "_proxy")
-
-        def __init__(self, pool: "ProxyPool", proxy: Any):
-            self._pool = pool
-            self._proxy = proxy
-
-        def __enter__(self) -> Any:
-            return self._proxy
-
-        def __exit__(self, *exc_info: object) -> None:
-            self._pool._checkin(self._proxy)
-
-    def acquire(self, timeout: float | None = None) -> "ProxyPool._Lease":
-        """Check a member out; use as a context manager to return it."""
-        return ProxyPool._Lease(self, self._checkout(timeout))
-
-    def call(self, method: str, *args: Any, **kwargs: Any) -> Any:
-        """One call on whichever member is free first."""
-        with self.acquire() as proxy:
-            return getattr(proxy, method)(*args, **kwargs)
-
-    class _PooledPipeline:
-        """A member checkout wrapping one :class:`Pipeline` burst.
-
-        ``with pool.pipeline() as pipe:`` checks a member out, runs the
-        burst on its (pipelined) connection, and returns the member on
-        exit — the pool analogue of ``with proxy.pipeline() as pipe:``.
-        """
-
-        __slots__ = ("_lease", "_pipe")
-
-        def __init__(self, lease: "ProxyPool._Lease", pipe: "Pipeline"):
-            self._lease = lease
-            self._pipe = pipe
-
-        def __enter__(self) -> "Pipeline":
-            return self._pipe.__enter__()
-
-        def __exit__(self, exc_type, exc, tb) -> None:
-            try:
-                self._pipe.__exit__(exc_type, exc, tb)
-            finally:
-                self._lease.__exit__(exc_type, exc, tb)
-
-    def pipeline(self, idempotent: bool = False) -> "ProxyPool._PooledPipeline":
-        """Burst issuance on a checked-out member (context manager).
-
-        Requires the pool's members to be built with ``max_inflight > 1``.
-        Resilient members are unwrapped to their underlying proxy: a
-        pipelined burst manages its own failure semantics (idempotent
-        re-issue), so per-call retries inside the burst would double up.
-        """
-        lease = self.acquire()
-        member = lease.__enter__()
-        try:
-            inner = member if isinstance(member, Proxy) else getattr(
-                member, "_proxy", member
-            )
-            pipe = inner.pipeline(idempotent=idempotent)
-        except BaseException:
-            lease.__exit__(None, None, None)
-            raise
-        return ProxyPool._PooledPipeline(lease, pipe)
-
-    def close(self) -> None:
-        """Close every idle member and refuse further checkouts.
-
-        Members currently checked out are closed when checked back in.
-        """
-        with self._cond:
-            self._closed = True
-            idle, self._idle = self._idle, []
-            self._cond.notify_all()
-        for proxy in idle:
-            proxy.close()
-
-    def __enter__(self) -> "ProxyPool":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-    def __len__(self) -> int:
-        with self._cond:
-            return self._created

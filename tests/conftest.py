@@ -8,7 +8,9 @@ Conventions:
   reference voltammogram, the ML dataset) are session-scoped;
 - CV runs in tests use a coarse ``e_step_v`` so the whole suite stays
   fast — resolution-sensitive assertions live in dedicated tests that
-  set their own step.
+  set their own step;
+- every daemon a test shuts down must come down quiescent: a shutdown
+  that leaves a serving thread running fails the test.
 """
 
 from __future__ import annotations
@@ -26,6 +28,28 @@ from repro.facility.workstation import (
 from repro.ml.datasets import DatasetSpec, generate_dataset
 from repro.ml.features import extract_features_batch
 from repro.ml.normality import NormalityClassifier
+from repro.rpc.daemon import Daemon
+
+
+@pytest.fixture(autouse=True)
+def _daemon_shutdowns_are_quiescent(monkeypatch):
+    """Fail the test if any ``Daemon.shutdown`` during it ended with
+    ``quiescent=False`` (a serving thread outlived the join deadline)."""
+    stragglers: list[str] = []
+    shutdown = Daemon.shutdown
+
+    def checked_shutdown(self, *args, **kwargs):
+        shutdown(self, *args, **kwargs)
+        if not self.quiescent:
+            stragglers.append(f"{type(self).__name__} ({self.serving_mode})")
+
+    monkeypatch.setattr(Daemon, "shutdown", checked_shutdown)
+    yield
+    if stragglers:
+        pytest.fail(
+            "daemon shutdown left serving threads running: "
+            + ", ".join(stragglers)
+        )
 
 
 @pytest.fixture

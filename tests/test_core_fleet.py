@@ -201,22 +201,3 @@ class TestFleetCampaign:
         assert fleet.succeeded
         assert results["solo"].succeeded
         assert len(results["solo"].rounds) == 1
-
-    def test_max_workers_bound_still_runs_all(self):
-        ices = [ElectrochemistryICE.build() for _ in range(3)]
-        try:
-            fleet = FleetCampaign(
-                {
-                    f"cell-{i}": Campaign(
-                        ices[i], scan_rate_strategy((0.05,), base=FAST)
-                    )
-                    for i in range(3)
-                },
-                max_workers=1,
-            )
-            results = fleet.run()
-            assert len(results) == 3
-            assert all(r.succeeded for r in results.values())
-        finally:
-            for ecosystem in ices:
-                ecosystem.shutdown()

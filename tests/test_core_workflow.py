@@ -1,6 +1,5 @@
-"""The task engine: DAGs, retries, skips, parallelism."""
+"""The task engine: DAGs, retries, skips."""
 
-import threading
 import time
 
 import pytest
@@ -47,10 +46,6 @@ class TestConstruction:
             return 1
 
         assert flow.task_names == ["a"]
-
-    def test_bad_max_workers(self):
-        with pytest.raises(DependencyError):
-            Workflow("w", max_workers=0)
 
 
 class TestExecution:
@@ -149,46 +144,6 @@ class TestExecution:
         flow.run()
         messages = flow.log.messages(source="paper-flow")
         assert any("a succeeded" in m for m in messages)
-
-
-class TestParallel:
-    def test_independent_tasks_overlap(self):
-        flow = Workflow("w", max_workers=4)
-        barrier = threading.Barrier(3, timeout=5.0)
-
-        def task(ctx):
-            barrier.wait()  # deadlocks unless all 3 run concurrently
-            return True
-
-        for name in ("a", "b", "c"):
-            flow.add_task(name, task)
-        result = flow.run()
-        assert result.succeeded
-
-    def test_parallel_respects_dependencies(self):
-        flow = Workflow("w", max_workers=4)
-        order = []
-        lock = threading.Lock()
-
-        def record(name):
-            def fn(ctx):
-                with lock:
-                    order.append(name)
-
-            return fn
-
-        flow.add_task("first", record("first"))
-        flow.add_task("second", record("second"), depends=("first",))
-        result = flow.run()
-        assert result.succeeded
-        assert order == ["first", "second"]
-
-    def test_parallel_failure_skips(self):
-        flow = Workflow("w", max_workers=2)
-        flow.add_task("bad", lambda ctx: 1 / 0)
-        flow.add_task("child", lambda ctx: None, depends=("bad",))
-        result = flow.run()
-        assert result.tasks["child"].state is TaskState.SKIPPED
 
 
 class TestClockDrivenRetries:

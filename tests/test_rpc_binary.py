@@ -240,39 +240,6 @@ class TestVersionNegotiation:
             if successor is not None:
                 successor.shutdown()
 
-    def test_pool_member_renegotiates_after_daemon_swap(self):
-        # same swap, but through a ProxyPool lease: the member checked
-        # out after the restart carries a dead connection and a cached
-        # v2 verdict; its redial must downgrade cleanly to the new peer
-        from repro.rpc import ProxyPool
-
-        daemon = Daemon(host="127.0.0.1")
-        daemon.register(BulkService(), object_id="Bulk")
-        daemon.start_background()
-        host, port = daemon.address
-        uri = f"PYRO:Bulk@{host}:{port}"
-        pool = ProxyPool(uri, size=1)
-        successor = None
-        try:
-            assert pool.call("echo", 1) == 1
-            with pool.acquire() as member:
-                assert member.wire_version == BINARY_VERSION
-            daemon.shutdown()
-
-            successor = ThreadedDaemon(host=host, port=port)
-            successor.register(BulkService(), object_id="Bulk")
-            successor.start_background()
-            with pytest.raises(Exception):
-                pool.call("echo", 2)
-            assert pool.call("echo", 3) == 3
-            with pool.acquire() as member:
-                assert member.wire_version == VERSION
-        finally:
-            pool.close()
-            daemon.shutdown()
-            if successor is not None:
-                successor.shutdown()
-
     def test_bulk_payloads_identical_across_versions(
         self, reactor_daemon, json_daemon
     ):

@@ -1,4 +1,4 @@
-"""Request pipelining: demuxed replies, bursts, pools (PROTOCOLS §1.4).
+"""Request pipelining: demuxed replies and bursts (PROTOCOLS §1.4).
 
 Covers the ISSUE-3 tentpole and its proxy satellites:
 
@@ -8,8 +8,7 @@ Covers the ISSUE-3 tentpole and its proxy satellites:
 - the in-flight window as backpressure, including single-thread bursts
   deeper than the window;
 - `Pipeline` semantics (drain on exit, error isolation, idempotency
-  keys, span parenting) and `ProxyPool` (blocking acquire, shared
-  breaker, close);
+  keys, span parenting);
 - the `_pyro_metadata` copy fix and the byte-counter capture fix;
 - the `rpc.client.inflight` gauge.
 """
@@ -20,10 +19,10 @@ import threading
 
 import pytest
 
-from repro.errors import CallTimeoutError, CommunicationError, ReproError
+from repro.errors import ReproError
 from repro.net.delay import delayed_loopback
 from repro.obs import MetricsRegistry, Tracer
-from repro.rpc import Daemon, PendingReply, Pipeline, Proxy, ProxyPool, expose
+from repro.rpc import Daemon, PendingReply, Pipeline, Proxy, expose
 
 
 @expose
@@ -392,85 +391,6 @@ class TestIdempotentPipeline:
             assert service.calls >= 5  # nothing was wrongly deduplicated
 
 
-class TestProxyPool:
-    def test_members_are_independent_connections(self, service_daemon):
-        uri, _service, _daemon = service_daemon
-        with ProxyPool(uri, size=2) as pool:
-            with pool.acquire() as first, pool.acquire() as second:
-                assert first is not second
-                assert first.echo(1) == 1
-                assert second.echo(2) == 2
-            assert len(pool) == 2
-            assert pool.in_use == 0
-
-    def test_acquire_blocks_until_checkin(self, service_daemon):
-        uri, _service, _daemon = service_daemon
-        with ProxyPool(uri, size=1) as pool:
-            lease = pool.acquire()
-            proxy = lease.__enter__()
-            assert proxy.echo("held") == "held"
-            with pytest.raises(CallTimeoutError):
-                pool.acquire(timeout=0.05).__enter__()
-            lease.__exit__(None, None, None)
-            # freed member is reused, not rebuilt
-            with pool.acquire(timeout=1.0) as again:
-                assert again is proxy
-
-    def test_call_convenience(self, service_daemon):
-        uri, _service, _daemon = service_daemon
-        with ProxyPool(uri, size=3) as pool:
-            assert pool.call("add", 20, 22) == 42
-
-    def test_resilient_members_share_one_breaker(self, service_daemon):
-        uri, _service, _daemon = service_daemon
-        from repro.resilience import ResilientProxy, RetryPolicy
-
-        policy = RetryPolicy(max_attempts=2, base_delay_s=0.001)
-        with ProxyPool(uri, size=3, retry_policy=policy) as pool:
-            assert pool.breaker is not None
-            members = []
-            with pool.acquire() as a, pool.acquire() as b:
-                assert isinstance(a, ResilientProxy)
-                assert a.echo("via-resilient") == "via-resilient"
-                members = [a, b]
-            assert all(m._breaker is pool.breaker for m in members)
-
-    def test_closed_pool_refuses_checkout(self, service_daemon):
-        uri, _service, _daemon = service_daemon
-        pool = ProxyPool(uri, size=2)
-        assert pool.call("echo", "x") == "x"
-        pool.close()
-        with pytest.raises(CommunicationError):
-            pool.acquire()
-
-    def test_pool_size_validation(self, service_daemon):
-        uri, _service, _daemon = service_daemon
-        with pytest.raises(ValueError):
-            ProxyPool(uri, size=0)
-
-    def test_concurrent_pool_traffic(self, service_daemon):
-        uri, _service, _daemon = service_daemon
-        with ProxyPool(uri, size=3) as pool:
-            errors: list[Exception] = []
-
-            def worker(worker_id: int) -> None:
-                try:
-                    for j in range(15):
-                        assert pool.call("add", worker_id, j) == worker_id + j
-                except Exception as exc:  # noqa: BLE001
-                    errors.append(exc)
-
-            threads = [
-                threading.Thread(target=worker, args=(i,)) for i in range(6)
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-            assert not errors
-            assert len(pool) <= 3
-
-
 class TestTransportFailure:
     def test_inflight_calls_fail_and_proxy_recovers(self, service_daemon):
         """Killing the connection fails pending calls with per-waiter
@@ -487,6 +407,5 @@ class TestTransportFailure:
     def test_exports(self):
         import repro.rpc as rpc
 
-        assert rpc.ProxyPool is ProxyPool
         assert rpc.Pipeline is Pipeline
         assert rpc.PendingReply is PendingReply

@@ -1,22 +1,24 @@
-"""The selector-reactor serving core: concurrency, backpressure, workers.
+"""The selector-reactor serving core: concurrency, backpressure, dispatch.
 
-The daemon's TCP path now runs on one event-loop thread with
-per-connection buffers and bounded outboxes. These tests pin the
-properties the rewrite must preserve (dispatch semantics, auth,
-quiescent shutdown, crash behaviour) and the ones it adds
-(backpressure accounting, worker-pool dispatch with per-connection
-ordering).
+The daemon's TCP path runs on one event-loop thread with per-connection
+buffers and bounded outboxes, and dispatches every frame inline on that
+thread. These tests pin the properties the rewrite must preserve
+(dispatch semantics, per-connection execution order, auth, quiescent
+shutdown, crash behaviour) and the ones it adds (backpressure
+accounting, a lifecycle that closes the selector and wake pipe even
+when the loop never ran, and never touches them after closing).
 """
 
 from __future__ import annotations
 
+import os
 import threading
 
 import numpy as np
 import pytest
 
 from repro.obs import MetricsRegistry
-from repro.rpc import Daemon, Proxy, ProxyPool, expose
+from repro.rpc import Daemon, Proxy, expose
 
 
 @expose
@@ -118,6 +120,69 @@ class TestReactorServing:
         finally:
             successor.shutdown()
 
+    def test_unstarted_daemon_shutdown_closes_its_descriptors(self):
+        # building a TCP daemon opens the reactor's selector and wake
+        # pipe; a daemon shut down before it ever served must close them
+        # itself, because no loop thread exists to do it on its way out
+        daemon = Daemon(host="127.0.0.1")
+        reactor = daemon._reactor
+        pipe_fds = (reactor._wake_r, reactor._wake_w)
+        for fd in pipe_fds:
+            os.fstat(fd)
+        daemon.shutdown()
+        for fd in pipe_fds:
+            with pytest.raises(OSError):
+                os.fstat(fd)
+        assert reactor._selector.get_map() is None  # closed
+
+    def test_stop_before_the_loop_thread_runs_still_ends_it(self, monkeypatch):
+        # start_background() can return before its thread runs; a stop()
+        # landing in that window must still end the loop, or shutdown
+        # waits out its join deadline and reports quiescent=False
+        gate = threading.Event()
+
+        class LateThread(threading.Thread):
+            def run(self):
+                gate.wait(5.0)
+                super().run()
+
+        daemon = Daemon(host="127.0.0.1")
+        with monkeypatch.context() as patch:
+            patch.setattr(threading, "Thread", LateThread)
+            daemon.start_background()
+        reactor = daemon._reactor
+        reactor.stop()
+        gate.set()
+        try:
+            assert reactor.join(timeout=2.0)
+        finally:
+            daemon.shutdown()
+
+    def test_shutdown_after_crash_leaves_reused_descriptors_alone(
+        self, tmp_path
+    ):
+        # the crashed loop closes its wake pipe on the way out; a later
+        # shutdown() must not write its wake byte into whatever file the
+        # process opens next under the same descriptor number
+        daemon, _, uri = _serve()
+        with Proxy(uri) as proxy:
+            proxy.echo(1)
+        reactor = daemon._reactor
+        wake_w = reactor._wake_w
+        daemon.crash()
+        assert reactor.join(timeout=2.0)
+        with pytest.raises(OSError):
+            os.fstat(wake_w)  # closed, so the number is free to reuse
+        victim = tmp_path / "unrelated.bin"
+        fd = os.open(victim, os.O_WRONLY | os.O_CREAT)
+        os.dup2(fd, wake_w)
+        try:
+            daemon.shutdown()
+        finally:
+            os.close(wake_w)
+            os.close(fd)
+        assert victim.read_bytes() == b""
+
 
 class TestBackpressure:
     def test_oversized_replies_count_backpressure(self):
@@ -162,27 +227,25 @@ class TestBackpressure:
             daemon.shutdown()
 
 
-class TestWorkerPool:
-    def test_workers_preserve_per_connection_order(self):
-        daemon, service, uri = _serve(workers=4)
+class TestInlineDispatch:
+    def test_pipelined_calls_execute_in_issue_order(self):
+        daemon, service, uri = _serve()
         try:
             with Proxy(uri, max_inflight=16) as proxy:
                 with proxy.pipeline() as pipe:
                     pending = [pipe.call("record", i) for i in range(50)]
                     results = [p.result() for p in pending]
             assert results == list(range(50))
-            # one connection: execution order must match issue order even
-            # though four workers share the dispatch queue
+            # one connection: execution order must match issue order
             assert service.seen == list(range(50))
         finally:
             daemon.shutdown()
 
-    def test_client_death_mid_burst_does_not_wedge_workers(self):
+    def test_client_death_mid_burst_does_not_wedge_dispatch(self):
         # a client that dies with a pipelined burst in flight (requests
-        # dispatched, replies undeliverable) must not leak its reply
-        # drain into the worker pool's health: other clients keep
-        # getting served afterwards
-        daemon, _, uri = _serve(workers=2)
+        # dispatched, replies undeliverable) must not stall the loop:
+        # other clients keep getting served afterwards
+        daemon, _, uri = _serve()
         try:
             victim = Proxy(uri, max_inflight=16)
             pipe = victim.pipeline()
@@ -195,29 +258,5 @@ class TestWorkerPool:
             with Proxy(uri) as survivor:
                 for i in range(20):
                     assert survivor.echo(i) == i
-        finally:
-            daemon.shutdown()
-
-    def test_workers_across_independent_connections(self):
-        daemon, _, uri = _serve(workers=2)
-        try:
-            pool = ProxyPool(uri, size=4)
-            results = []
-            lock = threading.Lock()
-
-            def work(i: int):
-                value = pool.call("echo", i)
-                with lock:
-                    results.append(value)
-
-            threads = [
-                threading.Thread(target=work, args=(i,)) for i in range(20)
-            ]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-            pool.close()
-            assert sorted(results) == list(range(20))
         finally:
             daemon.shutdown()

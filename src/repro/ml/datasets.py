@@ -90,7 +90,13 @@ def generate_dataset(
                 resistance_ohm=resistance,
                 substeps=1,
             )
-            trace = engine.run(params)
+            if fault is FaultKind.DISCONNECTED_ELECTRODE:
+                # apply_fault replaces this class's current with noise and
+                # the solve draws no random numbers, so skipping it leaves
+                # the corpus unchanged
+                trace = engine.disconnected(params)
+            else:
+                trace = engine.run(params)
             if fault is FaultKind.LOW_VOLUME:
                 trace = apply_fault(
                     trace, fault, severity=severity, seed=seed, scale_current=False

@@ -87,19 +87,23 @@ class GaussianProcessRegressor:
         self.log_marginal_likelihood_: float = np.nan
 
     # -- internals -----------------------------------------------------------
-    def _neg_log_marginal(self, theta: np.ndarray, x: np.ndarray, y: np.ndarray):
-        """Negative log marginal likelihood and its gradient in theta."""
-        kernel = RBFKernel.from_theta(theta)
-        n = len(x)
-        sq = (x[:, None] - x[None, :]) ** 2
-        signal_var, noise_var = kernel.signal_std**2, kernel.noise_std**2
-        base = signal_var * np.exp(-0.5 * sq / kernel.length_scale**2)
+    def _neg_log_marginal(self, theta: np.ndarray, sq: np.ndarray, y: np.ndarray):
+        """Negative log marginal likelihood and its gradient in theta.
+
+        ``sq`` holds the squared input distances and ``y`` the scaled
+        targets. :meth:`fit` builds the one and checks the other is finite
+        once, not on every evaluation.
+        """
+        length, signal, noise = np.exp(theta)
+        n = len(y)
+        signal_var, noise_var = signal**2, noise**2
+        base = signal_var * np.exp(-0.5 * sq / length**2)
         k_noisy = base.copy()
         k_noisy.flat[:: n + 1] += noise_var + self.jitter
         chol, info = lapack.dpotrf(k_noisy, lower=True, clean=True, overwrite_a=True)
         if info != 0:
             return 1e25, np.zeros(3)
-        alpha = linalg.cho_solve((chol, True), y)
+        alpha, _ = lapack.dpotrs(chol, y, lower=True)
         log_det = 2.0 * np.log(np.diag(chol)).sum()
         nll = 0.5 * (y @ alpha) + 0.5 * log_det + 0.5 * n * np.log(2 * np.pi)
 
@@ -110,7 +114,7 @@ class GaussianProcessRegressor:
         # sum(K^-1 * M) = 2 sum(tril * M) - sum(diag(K^-1) diag(M)).
         k_inv, _ = lapack.dpotri(chol, lower=True, overwrite_c=True)
         inv_trace = np.trace(k_inv)
-        d_length = base * sq / kernel.length_scale**2  # zero diagonal
+        d_length = base * sq / length**2  # zero diagonal
         grad_l = -0.5 * (alpha @ d_length @ alpha - 2.0 * np.vdot(k_inv, d_length))
         sum_base = 2.0 * np.vdot(k_inv, base) - signal_var * inv_trace
         grad_s = -(alpha @ base @ alpha - sum_base)
@@ -132,6 +136,8 @@ class GaussianProcessRegressor:
             raise MLError(f"x and y lengths differ: {len(x)} vs {len(y)}")
         if len(x) < 3:
             raise MLError("need at least 3 points to fit a GP")
+        if not np.all(np.isfinite(y)):
+            raise ValueError("targets must be finite (no nan or inf)")
 
         if self.normalize_y:
             self._y_mean = float(y.mean())
@@ -141,6 +147,7 @@ class GaussianProcessRegressor:
         y_scaled = (y - self._y_mean) / self._y_std
 
         if optimize_hyperparameters:
+            sq = (x[:, None] - x[None, :]) ** 2
             span = float(x.max() - x.min()) or 1.0
             starts = [
                 np.log([span / 10.0, 1.0, 0.1]),
@@ -157,7 +164,7 @@ class GaussianProcessRegressor:
                 result = optimize.minimize(
                     self._neg_log_marginal,
                     theta0,
-                    args=(x, y_scaled),
+                    args=(sq, y_scaled),
                     jac=True,
                     method="L-BFGS-B",
                     bounds=bounds,

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.chemistry.cv_engine import CVEngine, CVParameters
 from repro.chemistry.faults import FaultKind, apply_fault
+from repro.chemistry.species import FERROCENE
 from repro.chemistry.voltammogram import Voltammogram
 from repro.errors import FeatureExtractionError, NotFittedError
 from repro.ml import (
@@ -13,6 +15,15 @@ from repro.ml import (
     generate_dataset,
 )
 from repro.ml.datasets import DatasetSpec, train_test_split
+from repro.units import mm_to_mol_per_cm3
+
+_ARRAYS = ("time_s", "potential_v", "current_a", "cycle_index")
+
+
+def _assert_same_trace(a: Voltammogram, b: Voltammogram) -> None:
+    for name in _ARRAYS:
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    assert a.metadata == b.metadata
 
 
 class TestFeatures:
@@ -94,6 +105,46 @@ class TestDataset:
         np.testing.assert_allclose(
             a_traces[0].current_a, b_traces[0].current_a
         )
+
+    def test_disconnected_trace_needs_no_solve(self):
+        # apply_fault replaces a disconnected trace's current with noise,
+        # so the unsolved trace gives the same result as the solved one
+        engine = CVEngine(
+            species=FERROCENE,
+            bulk_concentration=mm_to_mol_per_cm3(2.0),
+            area_cm2=0.0707,
+            resistance_ohm=120.0,
+            substeps=1,
+        )
+        params = CVParameters(scan_rate_v_s=0.2, n_cycles=2, e_step_v=0.002)
+        fault = FaultKind.DISCONNECTED_ELECTRODE
+        _assert_same_trace(
+            apply_fault(engine.disconnected(params), fault, severity=0.6, seed=17),
+            apply_fault(engine.run(params), fault, severity=0.6, seed=17),
+        )
+
+    def test_corpus_matches_solving_every_class(self, monkeypatch):
+        spec = DatasetSpec(n_per_class=2, seed=42)
+        traces, labels = generate_dataset(spec)
+        monkeypatch.setattr(CVEngine, "disconnected", CVEngine.run)
+        solved_traces, solved_labels = generate_dataset(spec)
+        assert labels == solved_labels
+        for trace, solved in zip(traces, solved_traces, strict=True):
+            _assert_same_trace(trace, solved)
+
+    def test_disconnected_class_runs_no_solve(self, monkeypatch):
+        run = CVEngine.run
+        solved = []
+
+        def counting_run(engine, params):
+            solved.append(params)
+            return run(engine, params)
+
+        monkeypatch.setattr(CVEngine, "run", counting_run)
+        spec = DatasetSpec(n_per_class=3, seed=5)
+        traces, labels = generate_dataset(spec)
+        assert len(traces) == len(labels) == 3 * spec.n_per_class
+        assert len(solved) == 2 * spec.n_per_class
 
     def test_split_partitions(self, ml_corpus):
         _, labels, features = ml_corpus

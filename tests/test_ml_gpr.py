@@ -117,14 +117,16 @@ class TestObjectiveErrorPaths:
         # a huge signal variance at a long length scale makes K + jitter
         # numerically singular; the corner lies inside the fit's bounds
         x = np.linspace(0, 1, 96)
+        sq = (x[:, None] - x[None, :]) ** 2
         theta = np.log([10.0, 1e3, 1e-6])
-        value, grad = GaussianProcessRegressor()._neg_log_marginal(theta, x, np.sin(x))
+        value, grad = GaussianProcessRegressor()._neg_log_marginal(theta, sq, np.sin(x))
         assert value == 1e25
         np.testing.assert_array_equal(grad, np.zeros(3))
 
-    def test_nan_target_raises(self):
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nan_target_raises(self, bad):
         x = np.linspace(0, 1, 20)
         y = np.sin(x)
-        y[7] = np.nan
+        y[7] = bad
         with pytest.raises(ValueError):
             GaussianProcessRegressor().fit(x, y)

@@ -18,17 +18,18 @@ class TestGPRGradients:
         rng = np.random.default_rng(seed)
         x = np.sort(rng.uniform(0, 1, 25))
         y = np.sin(4 * x) + rng.normal(0, 0.1, 25)
+        sq = (x[:, None] - x[None, :]) ** 2
         gp = GaussianProcessRegressor()
         theta = np.log([0.3, 1.2, 0.2])
-        _value, grad = gp._neg_log_marginal(theta, x, y)
+        _value, grad = gp._neg_log_marginal(theta, sq, y)
         eps = 1e-6
         for index in range(3):
             theta_hi = theta.copy()
             theta_hi[index] += eps
             theta_lo = theta.copy()
             theta_lo[index] -= eps
-            value_hi, _ = gp._neg_log_marginal(theta_hi, x, y)
-            value_lo, _ = gp._neg_log_marginal(theta_lo, x, y)
+            value_hi, _ = gp._neg_log_marginal(theta_hi, sq, y)
+            value_lo, _ = gp._neg_log_marginal(theta_lo, sq, y)
             numeric = (value_hi - value_lo) / (2 * eps)
             assert grad[index] == pytest.approx(numeric, rel=1e-4, abs=1e-6)
 

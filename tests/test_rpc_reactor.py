@@ -158,6 +158,36 @@ class TestReactorServing:
         finally:
             daemon.shutdown()
 
+    def test_crash_before_the_loop_thread_runs_still_closes_its_descriptors(
+        self, monkeypatch
+    ):
+        # a crash() in the same window closes the listener before the loop
+        # thread sets it up; the thread must still close the selector and
+        # the wake pipe on its way out, and end without an error
+        gate = threading.Event()
+        thread_errors = []
+
+        class LateThread(threading.Thread):
+            def run(self):
+                gate.wait(5.0)
+                super().run()
+
+        daemon = Daemon(host="127.0.0.1")
+        with monkeypatch.context() as patch:
+            patch.setattr(threading, "Thread", LateThread)
+            daemon.start_background()
+        reactor = daemon._reactor
+        pipe_fds = (reactor._wake_r, reactor._wake_w)
+        monkeypatch.setattr(threading, "excepthook", thread_errors.append)
+        daemon.crash()
+        gate.set()
+        assert reactor.join(timeout=2.0)
+        assert thread_errors == []
+        for fd in pipe_fds:
+            with pytest.raises(OSError):
+                os.fstat(fd)
+        assert reactor._selector.get_map() is None  # closed
+
     def test_shutdown_after_crash_leaves_reused_descriptors_alone(
         self, tmp_path
     ):

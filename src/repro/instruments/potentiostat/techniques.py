@@ -119,7 +119,9 @@ class CVTechnique(Technique):
             # in conditions["area_cm2"]), ionic contact worsens — same
             # physical model the ML training corpus uses
             engine.resistance_ohm *= 1.0 + 15.0 * (1.0 - wetted)
-        trace = engine.run(self._params)
+        # an open circuit carries no current, so nothing is solved
+        solve = engine.run if conditions["circuit_closed"] else engine.disconnected
+        trace = solve(self._params)
         if not conditions["circuit_closed"]:
             trace = apply_fault(
                 trace, FaultKind.DISCONNECTED_ELECTRODE, severity=0.8, seed=seed

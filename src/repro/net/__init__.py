@@ -9,7 +9,7 @@ steering commands.
 This package models exactly that, concretely enough to measure it:
 
 - :class:`Topology` holds facilities, hosts, hub networks and their
-  attachments (networkx graph underneath for routing);
+  attachments (a breadth-first search over them routes each packet);
 - :class:`Firewall` evaluates ordered ingress rules per host;
 - :class:`LinkSpec` gives each attachment latency and bandwidth; shared
   links serialise transmissions, so contention is emergent, not scripted;

@@ -6,16 +6,15 @@ host and network nodes; only hosts marked ``is_gateway`` may appear as
 intermediates (paper §3.1: "dedicated hub networks ... connected to a
 gateway computer which in turn is connected to the site network").
 
-networkx provides shortest-path routing over the graph; the path's link
-objects are what the transport charges for each frame.
+A breadth-first search over the attachments routes a packet; the path's
+link objects are what the transport charges for each frame.
 """
 
 from __future__ import annotations
 
 import threading
+from collections import deque
 from dataclasses import dataclass, field
-
-import networkx as nx
 
 from repro.clock import Clock, WALL
 from repro.errors import NetworkError, NoRouteError
@@ -65,7 +64,9 @@ class Topology:
 
     def __init__(self, clock: Clock | None = None):
         self.clock = clock or WALL
-        self._graph = nx.Graph()
+        # neighbours in attachment order, which settles ties between
+        # equal-length routes
+        self._neighbours: dict[str, list[str]] = {}
         self._facilities: dict[str, Facility] = {}
         self._hosts: dict[str, Host] = {}
         self._networks: dict[str, HubNetwork] = {}
@@ -95,7 +96,7 @@ class Topology:
                 raise NetworkError(f"unknown facility: {facility!r}")
             host = Host(name, facility, platform, is_gateway)
             self._hosts[name] = host
-            self._graph.add_node(name, kind="host")
+            self._neighbours[name] = []
             return host
 
     def add_network(
@@ -108,7 +109,7 @@ class Topology:
                 raise NetworkError(f"unknown facility: {facility!r}")
             network = HubNetwork(name, facility, description)
             self._networks[name] = network
-            self._graph.add_node(name, kind="network")
+            self._neighbours[name] = []
             return network
 
     def attach(
@@ -136,7 +137,8 @@ class Topology:
             link_class = PriorityLink if priority_queuing else SharedLink
             link = link_class(f"{host}<->{network}", spec, clock=self.clock)
             self._links[key] = link
-            self._graph.add_edge(host, network)
+            self._neighbours[host].append(network)
+            self._neighbours[network].append(host)
             return link
 
     # -- queries ---------------------------------------------------------------
@@ -180,16 +182,24 @@ class Topology:
                 return allowed_networks is None or node in allowed_networks
             return self._hosts[node].is_gateway
 
-        view = nx.subgraph_view(self._graph, filter_node=admissible)
-        try:
-            return nx.shortest_path(view, src, dst)
-        except (nx.NetworkXNoPath, nx.NodeNotFound):
-            constraint = (
-                f" via networks {sorted(allowed_networks)}" if allowed_networks else ""
-            )
-            raise NoRouteError(
-                f"no route from {src!r} to {dst!r}{constraint}"
-            ) from None
+        previous: dict[str, str | None] = {src: None}
+        frontier = deque([src])
+        while frontier:
+            node = frontier.popleft()
+            if node == dst:
+                path = []
+                while node is not None:
+                    path.append(node)
+                    node = previous[node]
+                return path[::-1]
+            for neighbour in self._neighbours[node]:
+                if neighbour not in previous and admissible(neighbour):
+                    previous[neighbour] = node
+                    frontier.append(neighbour)
+        constraint = (
+            f" via networks {sorted(allowed_networks)}" if allowed_networks else ""
+        )
+        raise NoRouteError(f"no route from {src!r} to {dst!r}{constraint}")
 
     def route(
         self,

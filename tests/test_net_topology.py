@@ -1,9 +1,15 @@
 """Topology construction and routing."""
 
+import itertools
+import subprocess
+import sys
+import textwrap
+
 import pytest
 
 from repro.clock import VirtualClock
 from repro.errors import NetworkError, NoRouteError
+from repro.facility.ice import ElectrochemistryICE, ICEConfig
 from repro.net.links import LinkSpec
 from repro.net.topology import Topology
 
@@ -123,3 +129,170 @@ class TestRouting:
     def test_allowed_networks_no_route(self, ice_topology):
         with pytest.raises(NoRouteError):
             ice_topology.route("dgx", "agent", allowed_networks={"hub"})
+
+
+# route() link names and path_hosts() for every ordered pair of the ICE's
+# hosts, or the NoRouteError message, as recorded from the networkx router.
+# Unrestricted, separate mode often has a control and a data path of equal
+# length (k200-dgx to acl-control-agent among them) and takes the control
+# one, so every mode routes as on its control networks unless it is held
+# to the data networks.
+CONTROL_ROUTES = {
+    ("acl-control-agent", "acl-control-agent"): ([], ["acl-control-agent"]),
+    ("acl-control-agent", "acl-gateway"): (
+        ["acl-control-agent<->acl-hub", "acl-gateway<->acl-hub"],
+        ["acl-control-agent", "acl-gateway"],
+    ),
+    ("acl-control-agent", "acl-hplc-agent"): (
+        ["acl-control-agent<->acl-hub", "acl-hplc-agent<->acl-hub"],
+        ["acl-control-agent", "acl-hplc-agent"],
+    ),
+    ("acl-control-agent", "k200-dgx"): (
+        ["acl-control-agent<->acl-hub", "acl-gateway<->acl-hub",
+         "acl-gateway<->ornl-wan", "k200-dgx<->ornl-wan"],
+        ["acl-control-agent", "acl-gateway", "k200-dgx"],
+    ),
+    ("acl-gateway", "acl-control-agent"): (
+        ["acl-gateway<->acl-hub", "acl-control-agent<->acl-hub"],
+        ["acl-gateway", "acl-control-agent"],
+    ),
+    ("acl-gateway", "acl-gateway"): ([], ["acl-gateway"]),
+    ("acl-gateway", "acl-hplc-agent"): (
+        ["acl-gateway<->acl-hub", "acl-hplc-agent<->acl-hub"],
+        ["acl-gateway", "acl-hplc-agent"],
+    ),
+    ("acl-gateway", "k200-dgx"): (
+        ["acl-gateway<->ornl-wan", "k200-dgx<->ornl-wan"],
+        ["acl-gateway", "k200-dgx"],
+    ),
+    ("acl-hplc-agent", "acl-control-agent"): (
+        ["acl-hplc-agent<->acl-hub", "acl-control-agent<->acl-hub"],
+        ["acl-hplc-agent", "acl-control-agent"],
+    ),
+    ("acl-hplc-agent", "acl-gateway"): (
+        ["acl-hplc-agent<->acl-hub", "acl-gateway<->acl-hub"],
+        ["acl-hplc-agent", "acl-gateway"],
+    ),
+    ("acl-hplc-agent", "acl-hplc-agent"): ([], ["acl-hplc-agent"]),
+    ("acl-hplc-agent", "k200-dgx"): (
+        ["acl-hplc-agent<->acl-hub", "acl-gateway<->acl-hub",
+         "acl-gateway<->ornl-wan", "k200-dgx<->ornl-wan"],
+        ["acl-hplc-agent", "acl-gateway", "k200-dgx"],
+    ),
+    ("k200-dgx", "acl-control-agent"): (
+        ["k200-dgx<->ornl-wan", "acl-gateway<->ornl-wan",
+         "acl-gateway<->acl-hub", "acl-control-agent<->acl-hub"],
+        ["k200-dgx", "acl-gateway", "acl-control-agent"],
+    ),
+    ("k200-dgx", "acl-gateway"): (
+        ["k200-dgx<->ornl-wan", "acl-gateway<->ornl-wan"],
+        ["k200-dgx", "acl-gateway"],
+    ),
+    ("k200-dgx", "acl-hplc-agent"): (
+        ["k200-dgx<->ornl-wan", "acl-gateway<->ornl-wan",
+         "acl-gateway<->acl-hub", "acl-hplc-agent<->acl-hub"],
+        ["k200-dgx", "acl-gateway", "acl-hplc-agent"],
+    ),
+    ("k200-dgx", "k200-dgx"): ([], ["k200-dgx"]),
+}
+
+SEPARATE_DATA_ROUTES = {
+    ("acl-control-agent", "acl-control-agent"): ([], ["acl-control-agent"]),
+    ("acl-control-agent", "acl-gateway"): (
+        ["acl-control-agent<->acl-hub-data", "acl-gateway<->acl-hub-data"],
+        ["acl-control-agent", "acl-gateway"],
+    ),
+    ("acl-control-agent", "acl-hplc-agent"): (
+        "no route from 'acl-control-agent' to 'acl-hplc-agent'"
+        " via networks ['acl-hub-data', 'ornl-wan-data']"
+    ),
+    ("acl-control-agent", "k200-dgx"): (
+        ["acl-control-agent<->acl-hub-data", "acl-gateway<->acl-hub-data",
+         "acl-gateway<->ornl-wan-data", "k200-dgx<->ornl-wan-data"],
+        ["acl-control-agent", "acl-gateway", "k200-dgx"],
+    ),
+    ("acl-gateway", "acl-control-agent"): (
+        ["acl-gateway<->acl-hub-data", "acl-control-agent<->acl-hub-data"],
+        ["acl-gateway", "acl-control-agent"],
+    ),
+    ("acl-gateway", "acl-gateway"): ([], ["acl-gateway"]),
+    ("acl-gateway", "acl-hplc-agent"): (
+        "no route from 'acl-gateway' to 'acl-hplc-agent'"
+        " via networks ['acl-hub-data', 'ornl-wan-data']"
+    ),
+    ("acl-gateway", "k200-dgx"): (
+        ["acl-gateway<->ornl-wan-data", "k200-dgx<->ornl-wan-data"],
+        ["acl-gateway", "k200-dgx"],
+    ),
+    ("acl-hplc-agent", "acl-control-agent"): (
+        "no route from 'acl-hplc-agent' to 'acl-control-agent'"
+        " via networks ['acl-hub-data', 'ornl-wan-data']"
+    ),
+    ("acl-hplc-agent", "acl-gateway"): (
+        "no route from 'acl-hplc-agent' to 'acl-gateway'"
+        " via networks ['acl-hub-data', 'ornl-wan-data']"
+    ),
+    ("acl-hplc-agent", "acl-hplc-agent"): ([], ["acl-hplc-agent"]),
+    ("acl-hplc-agent", "k200-dgx"): (
+        "no route from 'acl-hplc-agent' to 'k200-dgx'"
+        " via networks ['acl-hub-data', 'ornl-wan-data']"
+    ),
+    ("k200-dgx", "acl-control-agent"): (
+        ["k200-dgx<->ornl-wan-data", "acl-gateway<->ornl-wan-data",
+         "acl-gateway<->acl-hub-data", "acl-control-agent<->acl-hub-data"],
+        ["k200-dgx", "acl-gateway", "acl-control-agent"],
+    ),
+    ("k200-dgx", "acl-gateway"): (
+        ["k200-dgx<->ornl-wan-data", "acl-gateway<->ornl-wan-data"],
+        ["k200-dgx", "acl-gateway"],
+    ),
+    ("k200-dgx", "acl-hplc-agent"): (
+        "no route from 'k200-dgx' to 'acl-hplc-agent'"
+        " via networks ['acl-hub-data', 'ornl-wan-data']"
+    ),
+    ("k200-dgx", "k200-dgx"): ([], ["k200-dgx"]),
+}
+
+
+class TestICERouteTable:
+    @pytest.mark.parametrize("networks", ["any", "control", "data"])
+    @pytest.mark.parametrize("mode", ["separate", "shared", "priority"])
+    def test_routes_match_the_recorded_table(self, mode, networks):
+        topology, control, data = ElectrochemistryICE._build_topology(
+            ICEConfig(channel_mode=mode), VirtualClock()
+        )
+        allowed = {"any": None, "control": control, "data": data}[networks]
+        table = (
+            SEPARATE_DATA_ROUTES
+            if (mode, networks) == ("separate", "data")
+            else CONTROL_ROUTES
+        )
+        hosts = [host.name for host in topology.hosts()]
+        assert sorted(table) == sorted(itertools.product(hosts, hosts))
+        for (src, dst), expected in table.items():
+            if isinstance(expected, str):
+                for query in (topology.route, topology.path_hosts):
+                    with pytest.raises(NoRouteError) as raised:
+                        query(src, dst, allowed)
+                    assert str(raised.value) == expected
+                continue
+            links, path = expected
+            assert [link.name for link in topology.route(src, dst, allowed)] == links
+            assert topology.path_hosts(src, dst, allowed) == path
+
+
+def test_a_session_runs_without_networkx():
+    # a None entry in sys.modules makes every later import of it raise
+    script = textwrap.dedent(
+        """
+        import sys
+
+        sys.modules["networkx"] = None
+        import repro
+
+        with repro.connect() as session:
+            assert session.client.call_Status_JKem()
+            session.datachannel.listdir()
+        """
+    )
+    subprocess.run([sys.executable, "-c", script], timeout=120, check=True)

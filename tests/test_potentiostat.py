@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from repro.chemistry.cell import ElectrochemicalCell
+from repro.chemistry.cv_engine import CVEngine
+from repro.chemistry.faults import FaultKind, apply_fault
 from repro.chemistry.species import ferrocene_solution
 from repro.errors import (
     ChannelBusyError,
@@ -187,6 +189,34 @@ class TestTechniques:
         filled_cell.set_electrode_connected("working", False)
         trace = run_cv(device)
         assert np.abs(trace.current_a).max() < 1e-6
+
+    def test_cv_open_circuit_runs_no_solve(self, filled_cell, monkeypatch):
+        filled_cell.set_electrode_connected("working", False)
+        technique = CVTechnique(e_step_v=0.002)
+        conditions = filled_cell.measurement_conditions()
+        engine = CVEngine.from_cell_conditions(conditions)
+        expected = apply_fault(
+            engine.run(technique.params),
+            FaultKind.DISCONNECTED_ELECTRODE,
+            severity=0.8,
+            seed=11,
+        )
+        solved = []
+        solve = CVEngine._solve
+
+        def counting_solve(engine, *args):
+            solved.append(engine)
+            return solve(engine, *args)
+
+        monkeypatch.setattr(CVEngine, "_solve", counting_solve)
+        trace = technique.execute(filled_cell, seed=11)
+        assert solved == []
+        for name in ("time_s", "potential_v", "current_a", "cycle_index"):
+            assert np.array_equal(getattr(trace, name), getattr(expected, name)), name
+        assert trace.metadata == {
+            **expected.metadata,
+            "cell_volume_ml": conditions["volume_ml"],
+        }
 
     def test_cv_parameter_validation(self):
         with pytest.raises(TechniqueError):

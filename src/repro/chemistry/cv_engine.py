@@ -261,6 +261,30 @@ class CVEngine:
         Raises:
             SimulationError: fewer than 2 samples or non-uniform spacing.
         """
+        return self._waveform_trace(time, potential, cycle_index, metadata, solve=True)
+
+    def disconnected_waveform(
+        self,
+        time: np.ndarray,
+        potential: np.ndarray,
+        cycle_index: np.ndarray | None = None,
+        metadata: dict | None = None,
+    ) -> Voltammogram:
+        """:meth:`run_waveform` with the working-electrode lead off.
+
+        As :meth:`disconnected` is to :meth:`run`: the same checks, samples
+        and metadata with zero current, and nothing solved.
+        """
+        return self._waveform_trace(time, potential, cycle_index, metadata, solve=False)
+
+    def _waveform_trace(
+        self,
+        time: np.ndarray,
+        potential: np.ndarray,
+        cycle_index: np.ndarray | None,
+        metadata: dict | None,
+        solve: bool,
+    ) -> Voltammogram:
         time = np.asarray(time, dtype=np.float64)
         potential = np.asarray(potential, dtype=np.float64)
         if len(time) != len(potential) or len(time) < 2:
@@ -269,7 +293,9 @@ class CVEngine:
         dt = float(steps[0])
         if dt <= 0 or not np.allclose(steps, dt, rtol=1e-6, atol=1e-12):
             raise SimulationError("waveform must be uniformly sampled in time")
-        current = self._solve(time, potential, dt)
+        current = (
+            self._solve(time, potential, dt) if solve else np.zeros_like(potential)
+        )
         if cycle_index is None:
             cycle_index = np.zeros(len(time), dtype=np.int64)
         base = {

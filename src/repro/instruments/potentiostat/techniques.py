@@ -329,7 +329,13 @@ class LSVTechnique(Technique):
         potential = self.e_begin_v + direction * steps * self.e_step_v
         dt = self.e_step_v / self.scan_rate_v_s
         time = steps * dt
-        trace = engine.run_waveform(
+        # an open circuit carries no current, so nothing is solved
+        solve = (
+            engine.run_waveform
+            if conditions["circuit_closed"]
+            else engine.disconnected_waveform
+        )
+        trace = solve(
             time,
             potential,
             metadata={
@@ -426,7 +432,12 @@ class DPVTechnique(Technique):
         waveform += direction * self.pulse_amplitude_v * np.tile(in_pulse, n_steps)
         time = np.arange(1, len(waveform) + 1, dtype=np.float64) * dt
 
-        full = engine.run_waveform(time, waveform)
+        solve = (
+            engine.run_waveform
+            if conditions["circuit_closed"]
+            else engine.disconnected_waveform
+        )
+        full = solve(time, waveform)
         current = full.current_a.reshape(n_steps, samples_per_period)
         i_before = current[:, samples_per_period - pulse_samples - 1]
         i_pulse_end = current[:, -1]

@@ -4,7 +4,8 @@ Ref [11]'s architecture: extract a feature vector from the I-V trace with
 Gaussian-process regression, classify with an ensemble-of-trees (EOT)
 classifier. Classes: *normal*, *disconnected electrode*, *low analyte
 volume* (we add *bubble* as an extension). Everything is implemented from
-scratch on numpy/scipy:
+scratch on numpy/scipy; scipy is imported on the first GP fit, so
+importing this package does not load it:
 
 - :class:`GaussianProcessRegressor` — RBF + white kernel, Cholesky fit,
   marginal-likelihood hyperparameter optimisation (L-BFGS);

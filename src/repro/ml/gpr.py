@@ -1,5 +1,9 @@
 """Gaussian-process regression, from scratch on numpy/scipy.
 
+scipy is imported inside the methods that call it, so a process loads
+it on its first GP fit; a control daemon or steering session, which
+never fits one, never loads it.
+
 Used as a *feature extractor*: fitting a GPR to an I-V curve and keeping
 the optimised hyperparameters (length scale, signal variance, noise
 variance) plus residual statistics summarises the curve's smoothness and
@@ -19,8 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg, optimize
-from scipy.linalg import lapack
 
 from repro.errors import MLError, NotFittedError
 
@@ -94,6 +96,8 @@ class GaussianProcessRegressor:
         targets. :meth:`fit` builds the one and checks the other is finite
         once, not on every evaluation.
         """
+        from scipy.linalg import lapack
+
         length, signal, noise = np.exp(theta)
         n = len(y)
         signal_var, noise_var = signal**2, noise**2
@@ -130,6 +134,8 @@ class GaussianProcessRegressor:
         n_restarts: int = 2,
     ) -> "GaussianProcessRegressor":
         """Fit to 1-D inputs ``x`` and targets ``y``."""
+        from scipy import linalg, optimize
+
         x = np.asarray(x, dtype=np.float64).ravel()
         y = np.asarray(y, dtype=np.float64).ravel()
         if len(x) != len(y):
@@ -199,6 +205,8 @@ class GaussianProcessRegressor:
         mean = k_star @ self._alpha * self._y_std + self._y_mean
         if not return_std:
             return mean
+        from scipy import linalg
+
         v = linalg.solve_triangular(self._chol, k_star.T, lower=True)
         var = self.kernel.signal_std**2 - np.einsum("ij,ij->j", v, v)
         var = np.maximum(var, 0.0) * self._y_std**2

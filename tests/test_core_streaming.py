@@ -18,7 +18,8 @@ def slow_ice():
 
 
 def start_acquisition(client, e_step=0.002):
-    client.call_Set_Rate_SyringePump(1, 10.0)
+    # the pump's top rate: the fill is set-up, the acquisition is the test
+    client.call_Set_Rate_SyringePump(1, 150.0)
     client.call_Set_Vial_FractionCollector(1, "BOTTOM")
     client.call_Set_Port_SyringePump(1, 1)
     client.call_Withdraw_SyringePump(1, 5.0)

@@ -1,5 +1,9 @@
 """Gaussian-process regression."""
 
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 
@@ -130,3 +134,30 @@ class TestObjectiveErrorPaths:
         y[7] = bad
         with pytest.raises(ValueError):
             GaussianProcessRegressor().fit(x, y)
+
+
+def test_scipy_loads_on_the_first_fit():
+    # a fresh interpreter, so that no earlier test has loaded scipy
+    script = textwrap.dedent(
+        """
+        import sys
+
+        import numpy as np
+        import repro
+        from repro.ml.gpr import GaussianProcessRegressor
+
+        def scipy_loaded():
+            return any(name.split(".")[0] == "scipy" for name in sys.modules)
+
+        with repro.connect() as session:
+            assert session.client.call_Status_JKem()
+            assert not scipy_loaded()
+        x = np.linspace(0.0, 1.0, 20)
+        gp = GaussianProcessRegressor().fit(x, np.sin(6.0 * x))
+        assert scipy_loaded()
+        mean, std = gp.predict(x, return_std=True)
+        assert mean.shape == std.shape == x.shape
+        assert np.all(np.isfinite(std)) and np.all(std >= 0.0)
+        """
+    )
+    subprocess.run([sys.executable, "-c", script], timeout=120, check=True)

@@ -281,18 +281,26 @@ class TestICERouteTable:
             assert topology.path_hosts(src, dst, allowed) == path
 
 
-def test_a_session_runs_without_networkx():
+@pytest.mark.parametrize("blocked", ["networkx", "scipy"])
+def test_a_session_runs_without(blocked):
     # a None entry in sys.modules makes every later import of it raise
     script = textwrap.dedent(
         """
         import sys
 
-        sys.modules["networkx"] = None
+        sys.modules[sys.argv[1]] = None
+        import numpy as np
         import repro
 
         with repro.connect() as session:
             assert session.client.call_Status_JKem()
-            session.datachannel.listdir()
+            assert session.fill_cell()["volume_ml"] == 5.0
+            trace = session.run_cv(e_step_v=0.01)
+            [stat] = session.datachannel.listdir()
+            again = session.datachannel.read_voltammogram(stat.path)
+            assert np.array_equal(again.current_a, trace.current_a)
         """
     )
-    subprocess.run([sys.executable, "-c", script], timeout=120, check=True)
+    subprocess.run(
+        [sys.executable, "-c", script, blocked], timeout=120, check=True
+    )

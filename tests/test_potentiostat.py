@@ -17,7 +17,9 @@ from repro.instruments.potentiostat import (
     CATechnique,
     CVTechnique,
     ChannelState,
+    DPVTechnique,
     KERNEL4,
+    LSVTechnique,
     OCVTechnique,
     SP200,
 )
@@ -190,17 +192,20 @@ class TestTechniques:
         trace = run_cv(device)
         assert np.abs(trace.current_a).max() < 1e-6
 
-    def test_cv_open_circuit_runs_no_solve(self, filled_cell, monkeypatch):
-        filled_cell.set_electrode_connected("working", False)
-        technique = CVTechnique(e_step_v=0.002)
-        conditions = filled_cell.measurement_conditions()
-        engine = CVEngine.from_cell_conditions(conditions)
+    @pytest.mark.parametrize(
+        "technique",
+        [CVTechnique(e_step_v=0.002), LSVTechnique(), DPVTechnique()],
+        ids=lambda technique: technique.technique_id,
+    )
+    def test_open_circuit_runs_no_solve(self, technique, filled_cell, monkeypatch):
+        # the closed-circuit trace with the open circuit's noise as its current
         expected = apply_fault(
-            engine.run(technique.params),
+            technique.execute(filled_cell, seed=11),
             FaultKind.DISCONNECTED_ELECTRODE,
             severity=0.8,
             seed=11,
         )
+        filled_cell.set_electrode_connected("working", False)
         solved = []
         solve = CVEngine._solve
 
@@ -213,10 +218,7 @@ class TestTechniques:
         assert solved == []
         for name in ("time_s", "potential_v", "current_a", "cycle_index"):
             assert np.array_equal(getattr(trace, name), getattr(expected, name)), name
-        assert trace.metadata == {
-            **expected.metadata,
-            "cell_volume_ml": conditions["volume_ml"],
-        }
+        assert trace.metadata == expected.metadata
 
     def test_cv_parameter_validation(self):
         with pytest.raises(TechniqueError):

@@ -16,6 +16,7 @@ Numbers are written to ``pipelining-report.json`` for the CI artifact.
 
 from __future__ import annotations
 
+import gc
 import json
 import threading
 import time
@@ -115,12 +116,18 @@ def test_rpc_burst_speedup(delayed_daemon):
 
 
 def test_mount_fetch_speedup(delayed_share):
-    """A multi-chunk Mount fetch must run >=3x faster pipelined."""
+    """A multi-chunk Mount fetch must run >=3x faster pipelined.
+
+    Each timed arm starts from a freshly collected heap: a full garbage
+    collection of the test process (tens of ms) landing inside one arm
+    times the collector, not the fetch.
+    """
     uri, factory, payload = delayed_share
 
     serial_proxy = Proxy(uri, connection_factory=factory, timeout=60.0)
     serial_mount = Mount(serial_proxy, read_size=READ_SIZE)
     serial_mount.exists("measurement.bin")  # connect outside timing
+    gc.collect()
     start = time.monotonic()
     serial_data = serial_mount.read_bytes("measurement.bin", verify=True)
     serial_s = time.monotonic() - start
@@ -131,6 +138,7 @@ def test_mount_fetch_speedup(delayed_share):
     )
     piped_mount = Mount(piped_proxy, read_size=READ_SIZE)
     piped_mount.exists("measurement.bin")
+    gc.collect()
     start = time.monotonic()
     piped_data = piped_mount.read_bytes("measurement.bin", verify=True)
     pipelined_s = time.monotonic() - start

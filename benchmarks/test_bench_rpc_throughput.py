@@ -1,11 +1,11 @@
 """RPC2 — the reactor + binary wire vs the threaded JSON baseline.
 
-PR 7 rewrote the daemon's serving core (one selector thread, bounded
-per-connection outboxes, reply coalescing) and added wire v2 (binary
-bulk framing negotiated via HELLO). This file prices both claims
-head-to-head against :class:`~repro.rpc.ThreadedDaemon`, which still
-serves the PR 1 way — one thread per connection, JSON-only frames —
-and acts as the stand-in for an old peer.
+The daemon's serving core is one selector thread with bounded
+per-connection outboxes and reply coalescing, and its wire carries bulk
+values as raw blobs. This file prices both head-to-head against
+``json_baseline.ThreadedJSONDaemon``, a frozen copy of the way the
+package served before: one thread per connection and all-JSON (version
+1) frames, called through its own ``JSONProxy``.
 
 Two gates, both on the same host (loopback, so the deltas measure
 syscall count and serialization, not the network):
@@ -34,9 +34,12 @@ from pathlib import Path
 
 import numpy as np
 
+import pytest
+from json_baseline import JSONProxy, ThreadedJSONDaemon
+
+from repro.errors import ProtocolError
 from repro.obs.baseline import BaselineStore
-from repro.rpc import Daemon, Proxy, ThreadedDaemon, expose
-from repro.rpc.protocol import BINARY_VERSION, VERSION
+from repro.rpc import Daemon, Proxy, expose
 
 CLIENTS = 8
 BURSTS = 8
@@ -67,7 +70,21 @@ def _serve(cls):
     return daemon, f"PYRO:Bench@{host}:{port}"
 
 
-def _rps_round(uri: str, binary) -> tuple[float, list[float]]:
+def _dial(uri: str, threaded: bool, window: int = 1):
+    return JSONProxy(uri) if threaded else Proxy(uri, max_inflight=window)
+
+
+def _echo_burst(client, payload) -> None:
+    if isinstance(client, JSONProxy):
+        client.call_many("echo", [(payload,)] * BURST)
+        return
+    with client.pipeline() as pipe:
+        pending = [pipe.call("echo", payload) for _ in range(BURST)]
+        for future in pending:
+            future.result()
+
+
+def _rps_round(uri: str, threaded: bool) -> tuple[float, list[float]]:
     """One round: aggregate calls/s at CLIENTS pipelined clients.
 
     Also returns the per-call latency samples (burst wall / burst size)
@@ -80,18 +97,13 @@ def _rps_round(uri: str, binary) -> tuple[float, list[float]]:
     lock = threading.Lock()
 
     def worker():
-        with Proxy(uri, max_inflight=BURST, binary=binary) as proxy:
-            proxy.echo(0)  # connect + negotiate before the clock
+        with _dial(uri, threaded, window=BURST) as proxy:
+            proxy.echo(0)  # connect before the clock
             barrier.wait()
             done, local = 0, []
             for _ in range(BURSTS):
                 burst_start = time.perf_counter()
-                with proxy.pipeline() as pipe:
-                    pending = [
-                        pipe.call("echo", payload) for _ in range(BURST)
-                    ]
-                    for future in pending:
-                        future.result()
+                _echo_burst(proxy, payload)
                 local.append((time.perf_counter() - burst_start) / BURST)
                 done += BURST
             with lock:
@@ -108,11 +120,11 @@ def _rps_round(uri: str, binary) -> tuple[float, list[float]]:
     return sum(counts) / (time.perf_counter() - start), samples
 
 
-def _bulk_round(uri: str, binary) -> tuple[float, list[float]]:
+def _bulk_round(uri: str, threaded: bool) -> tuple[float, list[float]]:
     """One round: best bytes/s reading one BULK_SAMPLES-float trace."""
     best, samples = 0.0, []
-    with Proxy(uri, binary=binary) as proxy:
-        proxy.wave(16)  # connect + negotiate + warm the solver-free path
+    with _dial(uri, threaded) as proxy:
+        proxy.wave(16)  # connect + warm the solver-free path
         for _ in range(BULK_REPS):
             start = time.perf_counter()
             wave = proxy.wave(BULK_SAMPLES)
@@ -128,11 +140,8 @@ def _interleaved_best(round_fn, threaded_uri: str, reactor_uri: str):
     round and its samples."""
     best = {"threaded": (0.0, []), "reactor": (0.0, [])}
     for _ in range(BEST_OF):
-        for key, uri, binary in (
-            ("threaded", threaded_uri, False),
-            ("reactor", reactor_uri, "auto"),
-        ):
-            value, samples = round_fn(uri, binary)
+        for key, uri in (("threaded", threaded_uri), ("reactor", reactor_uri)):
+            value, samples = round_fn(uri, key == "threaded")
             if value > best[key][0]:
                 best[key] = (value, samples)
     return best["threaded"], best["reactor"]
@@ -149,17 +158,18 @@ def _stats(samples: list[float]) -> dict[str, float]:
 
 def test_reactor_binary_wire_beats_threaded_json(capsys):
     reactor, reactor_uri = _serve(Daemon)
-    threaded, threaded_uri = _serve(ThreadedDaemon)
+    threaded, threaded_uri = _serve(ThreadedJSONDaemon)
     try:
         assert reactor.serving_mode == "reactor"
         assert threaded.serving_mode == "threaded"
-        # sanity: the matrix really is new-vs-old wire
-        with Proxy(reactor_uri) as probe:
+        # sanity: the matrix really is new-vs-old wire; each server
+        # answers a frame of the other wire with an ERROR frame of its own
+        with JSONProxy(threaded_uri) as probe:
+            assert probe.echo(0) == 0
+        with JSONProxy(reactor_uri) as probe, pytest.raises(ProtocolError):
             probe.echo(0)
-            assert probe.wire_version == BINARY_VERSION
-        with Proxy(threaded_uri) as probe:
+        with Proxy(threaded_uri, timeout=5.0) as probe, pytest.raises(ProtocolError):
             probe.echo(0)
-            assert probe.wire_version == VERSION
 
         (threaded_rps, threaded_echo), (reactor_rps, reactor_echo) = (
             _interleaved_best(_rps_round, threaded_uri, reactor_uri)

@@ -33,7 +33,7 @@ def main() -> None:
     config = ICEConfig(workstation=WorkstationConfig(time_scale=0.08))
     with ElectrochemistryICE.build(config) as ice:
         client = ice.client()
-        client.call_Set_Rate_SyringePump(1, 10.0)
+        client.call_Set_Rate_SyringePump(1, 150.0)  # the pump's top rate
         client.call_Set_Vial_FractionCollector(1, "BOTTOM")
         client.call_Set_Port_SyringePump(1, 1)
         client.call_Withdraw_SyringePump(1, 5.0)

@@ -8,7 +8,7 @@ that sprawl:
 
 - :class:`TransportConfig` — everything about *how bytes move*: call
   timeout, control-channel pipelining window, data-channel read-ahead
-  depth, binary wire-format negotiation policy, the HMAC secret;
+  depth, the HMAC secret;
 - :class:`SessionConfig` — everything about *how the session behaves*:
   resilience, the health gate, profiling, durable campaign journaling,
   tail sampling.
@@ -22,7 +22,7 @@ Example::
     import repro
     from repro.core.config import TransportConfig, SessionConfig
 
-    transport = TransportConfig(pipeline_depth=8, binary="auto")
+    transport = TransportConfig(pipeline_depth=8)
     policy = SessionConfig(resilient=True, require_healthy=True)
     with repro.connect(transport=transport, session=policy) as s:
         s.run_workflow()           # health-gated per the SessionConfig
@@ -34,9 +34,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.errors import WorkflowError
-
-_BINARY_CHOICES = (True, False, "auto")
-
 
 @dataclass(frozen=True)
 class TransportConfig:
@@ -50,12 +47,6 @@ class TransportConfig:
         pipeline_depth: data-channel read-ahead depth — how many
             ``read_chunk`` requests a mount keeps in flight during bulk
             reads. 1 = one WAN round trip per chunk.
-        binary: wire-format negotiation policy (PROTOCOLS §1.7).
-            ``"auto"`` negotiates binary bulk framing with v2 peers and
-            falls back to JSON against old daemons; ``False`` pins the
-            JSON v1 wire; ``True`` requires v2 and raises
-            :class:`~repro.errors.ProtocolError` against a JSON-only
-            peer.
         secret: HMAC challenge-response secret for URI-mode connects
             (in-process ICEs supply their own from ``ICEConfig``).
     """
@@ -63,7 +54,6 @@ class TransportConfig:
     timeout: float | None = 120.0
     max_inflight: int = 1
     pipeline_depth: int = 1
-    binary: bool | str = "auto"
     secret: bytes | None = None
 
     def __post_init__(self) -> None:
@@ -74,10 +64,6 @@ class TransportConfig:
         if self.pipeline_depth < 1:
             raise WorkflowError(
                 f"pipeline_depth must be >= 1, got {self.pipeline_depth}"
-            )
-        if self.binary not in _BINARY_CHOICES:
-            raise WorkflowError(
-                f"binary must be True, False or 'auto', got {self.binary!r}"
             )
 
 

@@ -74,8 +74,7 @@ class Session:
             to a real TCP control agent (two-machine mode).
         transport: :class:`~repro.core.config.TransportConfig` — call
             timeout, control-channel pipelining window, data-channel
-            read-ahead depth, binary wire negotiation policy, the HMAC
-            secret. Defaults to ``TransportConfig()``.
+            read-ahead depth, the HMAC secret. Defaults to ``TransportConfig()``.
         session: :class:`~repro.core.config.SessionConfig` — resilience,
             the pre-flight health gate, profiling, durable campaign
             journaling, tail sampling. Defaults to ``SessionConfig()``.
@@ -264,7 +263,6 @@ class Session:
                 tracer=self.tracer,
                 metrics=self.metrics,
                 max_inflight=self.transport_config.max_inflight,
-                binary=self.transport_config.binary,
             )
             self._cache = self._own_dir(cache_dir, "session-cache-")
             self.datachannel = self.ice.mount(
@@ -272,7 +270,6 @@ class Session:
                 tracer=self.tracer,
                 metrics=self.metrics,
                 pipeline_depth=self.transport_config.pipeline_depth,
-                binary=self.transport_config.binary,
             )
         else:
             from repro.resilience import RetryPolicy
@@ -289,7 +286,6 @@ class Session:
                 tracer=self.tracer,
                 metrics=self.metrics,
                 max_inflight=self.transport_config.max_inflight,
-                binary=self.transport_config.binary,
             )
             self.datachannel = None
             if data_uri is not None:
@@ -303,8 +299,7 @@ class Session:
                         tracer=self.tracer,
                         metrics=self.metrics,
                         max_inflight=self.transport_config.pipeline_depth,
-                        binary=self.transport_config.binary,
-                    ),
+                            ),
                     cache_dir=self._cache,
                     metrics=self.metrics,
                 )

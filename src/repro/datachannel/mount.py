@@ -21,13 +21,8 @@ from repro.datachannel.share import CHUNK_SIZE, FileStat
 class Mount:
     """A mounted remote share.
 
-    Bulk reads inherit the proxy's wire format: against a protocol-v2
-    daemon (negotiated via ``binary="auto"``, PROTOCOLS §1.7) each
-    ``read_chunk`` reply carries the chunk as a raw binary blob instead
-    of base64-inside-JSON, so a mount built from
-    :meth:`repro.facility.ice.ElectrochemistryICE.mount` gets zero-copy
-    framing without any change here — the chunks arrive as ``bytes``
-    either way.
+    Every ``read_chunk`` reply carries its chunk as a raw blob on the
+    binary wire (PROTOCOLS §1.7), not as base64 inside JSON.
 
     Args:
         proxy: connected proxy to the share service.
@@ -88,11 +83,14 @@ class Mount:
         return bool(self._service().exists(relative))
 
     # -- file access -------------------------------------------------------
-    def _read_serial(self, service, relative: str, offset: int = 0) -> list[bytes]:
-        """Chunk-at-a-time fetch loop starting at ``offset``."""
+    def _read_serial(
+        self, service, relative: str, offset: int = 0, end: int | None = None
+    ) -> list[bytes]:
+        """Chunk-at-a-time fetch loop from ``offset`` to the first short
+        chunk, or to ``end`` when the caller knows the file's size."""
         size = self.read_size
         chunks: list[bytes] = []
-        while True:
+        while end is None or offset < end:
             chunk = service.read_chunk(relative, offset, size)
             if not chunk:
                 break
@@ -102,21 +100,28 @@ class Mount:
                 break
         return chunks
 
-    def _read_pipelined(self, service, relative: str) -> list[bytes]:
-        """Read-ahead fetch: every ``read_chunk`` in flight at once.
+    def _read_pipelined(
+        self, service, relative: str, offset: int = 0, end: int | None = None
+    ) -> list[bytes]:
+        """Read-ahead fetch: every ``read_chunk`` from ``offset`` to
+        ``end`` in flight at once.
 
-        A ``stat`` sizes the file, then all chunk requests go down the
-        pipe back-to-back — the whole file costs one round trip plus the
-        transfers instead of one round trip per chunk. If the file grew
-        after the stat (a measurement still being written), a serial
-        tail loop picks up the extra chunks.
+        All chunk requests go down the pipe back-to-back — the whole
+        file costs one round trip plus the transfers instead of one
+        round trip per chunk. Without ``end`` a ``stat`` sizes the file,
+        and if it grew after the stat (a measurement still being
+        written), a serial tail loop picks up the extra chunks. A
+        verified read passes the size its digest covers and reads no
+        further.
         """
         read_size = self.read_size
-        size = int(service.stat(relative)["size"])
-        n_chunks = max(1, -(-size // read_size))
+        tail = end is None
+        if tail:
+            end = int(service.stat(relative)["size"])
+        n_chunks = max(1, -(-(end - offset) // read_size))
         with service.pipeline() as pipe:
             pending = [
-                pipe.call("read_chunk", relative, i * read_size, read_size)
+                pipe.call("read_chunk", relative, offset + i * read_size, read_size)
                 for i in range(n_chunks)
             ]
             chunks = [p.result() for p in pending]
@@ -129,10 +134,13 @@ class Mount:
             if len(chunk) < read_size:
                 break
         else:
-            # every chunk came back full — the file may have grown
-            out.extend(
-                self._read_serial(service, relative, n_chunks * read_size)
-            )
+            if tail:
+                # every chunk came back full — the file may have grown
+                out.extend(
+                    self._read_serial(
+                        service, relative, offset + n_chunks * read_size
+                    )
+                )
         return out
 
     def read_bytes(self, relative: str, verify: bool = False) -> bytes:
@@ -144,14 +152,23 @@ class Mount:
         runs. Both paths return identical bytes.
 
         Args:
-            verify: re-checksum the assembled bytes against the server's
-                SHA-256 and raise on mismatch.
+            verify: check the assembled bytes against the server's
+                SHA-256 and raise on mismatch. The first chunk, the
+                file's size and its digest arrive in one ``read_head``
+                call, so a file of one chunk costs one round trip.
         """
         service = self._service()
         depth = getattr(service, "max_inflight", 1)
         pipelined = isinstance(depth, int) and depth > 1
         with child_span("datachannel.read", path=relative) as span:
-            if pipelined:
+            head = service.read_head(relative, self.read_size) if verify else None
+            if head is not None:
+                first, size = head["data"], head["size"]
+                chunks = [first]
+                if len(first) == self.read_size and size > len(first):
+                    rest = self._read_pipelined if pipelined else self._read_serial
+                    chunks += rest(service, relative, len(first), size)
+            elif pipelined:
                 chunks = self._read_pipelined(service, relative)
             else:
                 chunks = self._read_serial(service, relative)
@@ -160,8 +177,8 @@ class Mount:
             if span is not None:
                 span.set_attribute("bytes", len(data))
                 span.set_attribute("pipelined", pipelined)
-            if verify:
-                expected = service.checksum(relative)
+            if head is not None:
+                expected = head["sha256"]
                 actual = hashlib.sha256(data).hexdigest()
                 if actual != expected:
                     if self.metrics is not None:

@@ -1,9 +1,11 @@
 """Server side of the file share (the CIFS stand-in).
 
 :class:`FileShareService` is an RPC-exposed object that exports one root
-directory read-only: directory listing, stat, chunked reads and whole-file
-reads with checksums. Registered on its own daemon/port it forms the data
-channel, physically separate from the control channel.
+directory read-only: directory listing, stat, chunked reads, checksums,
+and a file's first chunk together with its size and checksum, which
+opens a verified whole-file read in one round trip. Registered on its
+own daemon/port it forms the data channel, physically separate from the
+control channel.
 
 Path handling is strict: every client path is resolved inside the export
 root; traversal attempts raise :class:`~repro.errors.AccessDeniedError`.
@@ -41,6 +43,15 @@ class FileStat:
 #: overhead, small enough to keep control-channel-style latencies sane
 #: when a link is shared (benchmark CH1 relies on this being realistic).
 CHUNK_SIZE = 256 * 1024
+
+
+def _hash_rest(handle, digest) -> int:
+    """Feed the rest of an open file into ``digest``; returns its length."""
+    total = 0
+    for block in iter(lambda: handle.read(1 << 20), b""):
+        digest.update(block)
+        total += len(block)
+    return total
 
 
 @expose
@@ -114,16 +125,13 @@ class FileShareService:
         except AccessDeniedError:
             raise
 
-    def read_chunk(self, relative: str, offset: int, size: int = CHUNK_SIZE) -> bytes:
-        """Read up to ``size`` bytes starting at ``offset``."""
-        if offset < 0 or size < 0:
-            raise AccessDeniedError("offset/size must be non-negative")
+    def _file(self, relative: str) -> Path:
         target = self._resolve(relative)
         if not target.is_file():
             raise RemoteFileNotFoundError(f"no such file: {relative!r}")
-        with target.open("rb") as handle:
-            handle.seek(offset)
-            data = handle.read(min(size, CHUNK_SIZE))
+        return target
+
+    def _served(self, data: bytes) -> bytes:
         self.reads_served += 1
         self.bytes_served += len(data)
         if self.metrics is not None:
@@ -135,13 +143,32 @@ class FileShareService:
             ).inc(len(data), share=self.share_name)
         return data
 
+    def read_chunk(self, relative: str, offset: int, size: int = CHUNK_SIZE) -> bytes:
+        """Read up to ``size`` bytes starting at ``offset``."""
+        if offset < 0 or size < 0:
+            raise AccessDeniedError("offset/size must be non-negative")
+        with self._file(relative).open("rb") as handle:
+            handle.seek(offset)
+            return self._served(handle.read(min(size, CHUNK_SIZE)))
+
     def checksum(self, relative: str) -> str:
         """SHA-256 of the whole file (transfer-integrity check)."""
-        target = self._resolve(relative)
-        if not target.is_file():
-            raise RemoteFileNotFoundError(f"no such file: {relative!r}")
         digest = hashlib.sha256()
-        with target.open("rb") as handle:
-            for block in iter(lambda: handle.read(1 << 20), b""):
-                digest.update(block)
+        with self._file(relative).open("rb") as handle:
+            _hash_rest(handle, digest)
         return digest.hexdigest()
+
+    def read_head(self, relative: str, size: int = CHUNK_SIZE) -> dict:
+        """The first ``size`` bytes of a file, with the whole file's size
+        and SHA-256 (``{"data", "size", "sha256"}``).
+
+        All three are read from one open handle, so a verified mount
+        read needs no ``stat`` and no ``checksum`` round trip of its own.
+        """
+        if size < 0:
+            raise AccessDeniedError("size must be non-negative")
+        with self._file(relative).open("rb") as handle:
+            data = handle.read(min(size, CHUNK_SIZE))
+            digest = hashlib.sha256(data)
+            total = len(data) + _hash_rest(handle, digest)
+        return {"data": self._served(data), "size": total, "sha256": digest.hexdigest()}

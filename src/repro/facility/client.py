@@ -45,9 +45,6 @@ class ACLPyroClient:
             ResilientProxy exists to stamp keys).
         max_inflight: control-channel pipelining window (PROTOCOLS
             §1.4); 1 keeps the classic lockstep request/reply.
-        binary: binary wire-format negotiation policy (PROTOCOLS §1.7):
-            ``"auto"`` negotiates down against JSON-only daemons,
-            ``False`` pins v1, ``True`` requires v2.
     """
 
     def __init__(
@@ -65,7 +62,6 @@ class ACLPyroClient:
         metrics: Any = None,
         idem_prefix: str | None = None,
         max_inflight: int = 1,
-        binary: bool | str = "auto",
     ):
         uri = make_uri(object_id, host, port)
         proxy = Proxy(
@@ -76,7 +72,6 @@ class ACLPyroClient:
             tracer=tracer,
             metrics=metrics,
             max_inflight=max_inflight,
-            binary=binary,
         )
         if retry_policy is not None or breaker is not None:
             proxy = ResilientProxy(
@@ -104,7 +99,6 @@ class ACLPyroClient:
         metrics: Any = None,
         idem_prefix: str | None = None,
         max_inflight: int = 1,
-        binary: bool | str = "auto",
     ) -> "ACLPyroClient":
         """Build from a full ``PYRO:`` URI."""
         from repro.rpc.naming import parse_uri
@@ -124,7 +118,6 @@ class ACLPyroClient:
             metrics=metrics,
             idem_prefix=idem_prefix,
             max_inflight=max_inflight,
-            binary=binary,
         )
 
     @property

@@ -477,7 +477,6 @@ class ElectrochemistryICE:
         metrics=None,
         idem_prefix: str | None = None,
         max_inflight: int = 1,
-        binary: bool | str = "auto",
     ) -> ACLPyroClient:
         """A control-channel client dialled from the DGX.
 
@@ -492,8 +491,7 @@ class ElectrochemistryICE:
         instead of touching the instrument again.
 
         ``max_inflight`` opens the control-channel pipelining window
-        (PROTOCOLS §1.4); ``binary`` sets the wire-format negotiation
-        policy (PROTOCOLS §1.7).
+        (PROTOCOLS §1.4).
         """
         from repro.resilience import RetryPolicy
 
@@ -513,7 +511,6 @@ class ElectrochemistryICE:
             metrics=metrics if metrics is not None else self.metrics,
             idem_prefix=idem_prefix,
             max_inflight=max_inflight,
-            binary=binary,
         )
 
     def characterization_client(self, timeout: float | None = 120.0) -> ACLPyroClient:
@@ -531,16 +528,13 @@ class ElectrochemistryICE:
         tracer=None,
         metrics=None,
         pipeline_depth: int = 1,
-        binary: bool | str = "auto",
     ) -> Mount:
         """Mount the measurement share on the DGX over the data channel.
 
         ``pipeline_depth > 1`` builds the share proxy with that many
         in-flight requests allowed, so multi-chunk reads pipeline their
         ``read_chunk`` calls instead of paying one WAN round trip per
-        chunk (PROTOCOLS §1.4). ``binary`` controls wire-format
-        negotiation (PROTOCOLS §1.7): against a v2 daemon the chunk
-        payloads travel as raw blobs instead of base64-inside-JSON.
+        chunk (PROTOCOLS §1.4).
         """
         proxy = Proxy(
             self.share_uri,
@@ -551,7 +545,6 @@ class ElectrochemistryICE:
             tracer=tracer if tracer is not None else self.tracer,
             metrics=metrics if metrics is not None else self.metrics,
             max_inflight=pipeline_depth,
-            binary=binary,
         )
         return Mount(
             proxy,

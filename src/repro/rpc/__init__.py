@@ -12,8 +12,6 @@ reimplements the subset the paper uses, with the same shape:
   Serving runs on a selector reactor for TCP listeners (one event-loop
   thread, bounded per-connection outboxes with backpressure) and falls
   back to a reader thread per connection for the simulated network;
-  :class:`ThreadedDaemon` keeps the old thread-per-connection, JSON-only
-  daemon alive as the benchmark baseline and mixed-version interop peer;
 - :class:`Proxy` connects to a URI and forwards attribute calls; built
   with ``max_inflight > 1`` it pipelines requests (PROTOCOLS §1.4) and
   offers :meth:`Proxy.pipeline` for explicit bursts; each proxy is one
@@ -22,9 +20,8 @@ reimplements the subset the paper uses, with the same shape:
 
 Serialisation is JSON with explicit type tags (bytes, ndarray, tuple, set,
 complex, non-string-keyed dicts); pickle is deliberately not used because
-the control channel crosses facility trust boundaries. Peers that both
-speak protocol v2 (negotiated via a HELLO handshake on connect) switch to
-binary bulk framing — bulk ndarrays and bytes travel as raw blobs after a
+the control channel crosses facility trust boundaries. Every frame uses
+binary bulk framing: bulk ndarrays and bytes travel as raw blobs after a
 JSON envelope instead of base64 (PROTOCOLS §1.7).
 
 Example::
@@ -51,7 +48,6 @@ from repro.rpc.serialization import (
     deserialize_binary,
 )
 from repro.rpc.daemon import Daemon
-from repro.rpc.threaded import ThreadedDaemon
 from repro.rpc.proxy import PendingReply, Pipeline, Proxy
 from repro.rpc.naming import (
     NameServer,
@@ -72,7 +68,6 @@ __all__ = [
     "serialize_binary",
     "deserialize_binary",
     "Daemon",
-    "ThreadedDaemon",
     "Proxy",
     "Pipeline",
     "PendingReply",

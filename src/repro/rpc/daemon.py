@@ -24,10 +24,7 @@ Dispatch rules (identical in both modes):
   the class name and formatted traceback; the proxy re-raises them as
   :class:`RemoteInvocationError` (or the matching ``repro.errors`` class
   when one exists — instrument errors keep their identity end to end);
-- ``@oneway`` methods are acknowledged before execution;
-- every reply is encoded in the wire version of the request frame, so
-  one daemon serves old JSON-only clients and binary-negotiated ones on
-  neighbouring connections (PROTOCOLS §1.7).
+- ``@oneway`` methods are acknowledged before execution.
 """
 
 from __future__ import annotations
@@ -50,12 +47,9 @@ from repro.errors import (
 from repro.logging_utils import EventLog
 from repro.rpc.expose import exposed_methods, is_exposed, is_oneway
 from repro.rpc.protocol import (
-    BINARY_VERSION,
-    VERSION,
     Message,
     MessageType,
     error_body,
-    negotiate_version,
     recv_message,
     request_idempotency_key,
     request_lease,
@@ -215,12 +209,7 @@ class Daemon:
             (counted in ``fenced_count``) and never executes.
         max_outbox_bytes: per-connection outbound buffer bound before
             backpressure pauses reading from that client.
-        max_wire_version: highest protocol version this daemon speaks;
-            HELLO negotiation never settles above it.
     """
-
-    _use_reactor = True  # ThreadedDaemon (benchmark baseline) flips this
-    _speaks_hello = True  # old peers predate HELLO: unknown type, drop
 
     def __init__(
         self,
@@ -236,7 +225,6 @@ class Daemon:
         dedup_journal: Any = None,
         lease_registry: Any = None,
         max_outbox_bytes: int = DEFAULT_MAX_OUTBOX_BYTES,
-        max_wire_version: int = BINARY_VERSION,
     ):
         self._listener = listener if listener is not None else TCPListener(host, port)
         self._secret = secret
@@ -250,7 +238,6 @@ class Daemon:
         self._dedup_wait_s = dedup_wait_s
         self._dedup_journal = dedup_journal
         self._max_outbox_bytes = max_outbox_bytes
-        self._max_wire_version = max_wire_version
         self.lease_registry = lease_registry
         self.log = event_log if event_log is not None else EventLog()
         self.call_count = 0
@@ -262,7 +249,7 @@ class Daemon:
         self.tracer = tracer
         self.metrics = metrics
         self._reactor: Reactor | None = None
-        if self._use_reactor and self._listener_selectable():
+        if self._listener_selectable():
             self._reactor = Reactor(
                 self._listener,
                 on_connect=self._reactor_connect,
@@ -491,8 +478,6 @@ class Daemon:
         client.data["nonce"] = self._challenge(client)
 
     def _reactor_frame(self, client: ReactorClient, msg: Message) -> None:
-        if msg.version > self._max_wire_version:
-            raise ProtocolError(f"unsupported protocol version {msg.version}")
         if client.data.get("stage") == "auth":
             self._check_auth(client, msg)
             return
@@ -569,17 +554,6 @@ class Daemon:
             while self._running.is_set():
                 try:
                     msg = recv_message(conn)
-                    if msg.version > self._max_wire_version:
-                        raise ProtocolError(
-                            f"unsupported protocol version {msg.version}"
-                        )
-                    if (
-                        msg.msg_type is MessageType.HELLO
-                        and not self._speaks_hello
-                    ):
-                        # a daemon predating HELLO dies at frame decode
-                        # ("unknown message type 9"): error, then drop
-                        raise ProtocolError("unknown message type 9")
                 except ConnectionClosedError:
                     break
                 except (ProtocolError, SerializationError) as exc:
@@ -601,10 +575,7 @@ class Daemon:
     # -- dispatch core (mode-agnostic) ----------------------------------------
     def _handle_message(self, client: Any, msg: Message) -> None:
         if msg.msg_type == MessageType.PING:
-            client.reply(Message(MessageType.PONG, msg.seq, None, version=msg.version))
-            return
-        if msg.msg_type == MessageType.HELLO:
-            self._handle_hello(client, msg)
+            client.reply(Message(MessageType.PONG, msg.seq, None))
             return
         if msg.msg_type == MessageType.METADATA:
             self._handle_metadata(client, msg)
@@ -616,18 +587,6 @@ class Daemon:
             client,
             msg.seq,
             ProtocolError(f"unexpected message type {msg.msg_type}"),
-            version=msg.version,
-        )
-
-    def _handle_hello(self, client: Any, msg: Message) -> None:
-        agreed = negotiate_version(msg.body, self._max_wire_version)
-        client.reply(
-            Message(
-                MessageType.RESPONSE,
-                msg.seq,
-                {"version": agreed},
-                version=msg.version,
-            )
         )
 
     def _handle_metadata(self, client: Any, msg: Message) -> None:
@@ -641,11 +600,9 @@ class Daemon:
                 "methods": methods,
                 "oneway": [m for m in methods if is_oneway(obj, m)],
             }
-            client.reply(
-                Message(MessageType.RESPONSE, msg.seq, body, version=msg.version)
-            )
+            client.reply(Message(MessageType.RESPONSE, msg.seq, body))
         except Exception as exc:  # noqa: BLE001 - must answer the client
-            self._try_reply_error(client, msg.seq, exc, version=msg.version)
+            self._try_reply_error(client, msg.seq, exc)
 
     def _handle_request(self, client: Any, msg: Message) -> None:
         # Fencing precedes dedup: a fenced request must never execute
@@ -670,7 +627,7 @@ class Daemon:
                     epoch=lease["epoch"],
                 )
                 if not msg.oneway:
-                    self._try_reply_error(client, msg.seq, exc, version=msg.version)
+                    self._try_reply_error(client, msg.seq, exc)
                 return
         key = request_idempotency_key(msg.body)
         if key is not None:
@@ -743,7 +700,7 @@ class Daemon:
         if msg.oneway:
             return
         try:
-            client.reply(Message(msg_type, msg.seq, body, version=msg.version))
+            client.reply(Message(msg_type, msg.seq, body))
         except (ConnectionClosedError, SerializationError):
             pass
 
@@ -770,15 +727,13 @@ class Daemon:
         except Exception as exc:  # noqa: BLE001
             record(MessageType.ERROR, self._error_body_for(exc))
             if not msg.oneway:
-                self._try_reply_error(client, msg.seq, exc, version=msg.version)
+                self._try_reply_error(client, msg.seq, exc)
             return
 
         if msg.oneway or is_oneway(obj, method_name):
             if not msg.oneway:
                 # Client used a normal call on a @oneway method: ack first.
-                client.reply(
-                    Message(MessageType.RESPONSE, msg.seq, None, version=msg.version)
-                )
+                client.reply(Message(MessageType.RESPONSE, msg.seq, None))
             try:
                 self._invoke_logged(
                     object_id,
@@ -799,20 +754,13 @@ class Daemon:
             )
         except Exception as exc:  # noqa: BLE001 - remote errors travel as frames
             record(MessageType.ERROR, self._error_body_for(exc))
-            self._try_reply_error(client, msg.seq, exc, version=msg.version)
+            self._try_reply_error(client, msg.seq, exc)
             return
         record(MessageType.RESPONSE, {"result": result})
         try:
-            client.reply(
-                Message(
-                    MessageType.RESPONSE,
-                    msg.seq,
-                    {"result": result},
-                    version=msg.version,
-                )
-            )
+            client.reply(Message(MessageType.RESPONSE, msg.seq, {"result": result}))
         except SerializationError as exc:
-            self._try_reply_error(client, msg.seq, exc, version=msg.version)
+            self._try_reply_error(client, msg.seq, exc)
 
     def _invoke_logged(
         self,
@@ -913,11 +861,9 @@ class Daemon:
             code=code if isinstance(code, str) else "",
         )
 
-    def _try_reply_error(
-        self, client: Any, seq: int, exc: Exception, version: int = VERSION
-    ) -> None:
+    def _try_reply_error(self, client: Any, seq: int, exc: Exception) -> None:
         body = self._error_body_for(exc)
         try:
-            client.reply(Message(MessageType.ERROR, seq, body, version=version))
+            client.reply(Message(MessageType.ERROR, seq, body))
         except (ConnectionClosedError, SerializationError):
             pass

@@ -4,7 +4,7 @@ Every message is one frame::
 
     offset  size  field
     0       4     magic  b"RICE"  (Repro Instrument-Computing Ecosystem)
-    4       1     version (1 = JSON payload, 2 = binary bulk payload)
+    4       1     version (2)
     5       1     message type
     6       2     flags
     8       4     sequence id (request/response correlation)
@@ -12,22 +12,14 @@ Every message is one frame::
     16      N     payload (see repro.rpc.serialization)
 
 The fixed 16-byte header keeps parsing trivial and lets either side reject
-garbage immediately (wrong magic) instead of desynchronising.
+garbage immediately (wrong magic, wrong version) instead of
+desynchronising.
 
-Two wire versions coexist (PROTOCOLS §1.7):
-
-* **v1** — payload is type-tagged JSON (``serialize``). Every peer
-  speaks it; it is the handshake language and the fallback.
-* **v2** — payload is a binary bulk frame (``serialize_binary``):
-  a JSON envelope followed by raw blobs, so I-V arrays and mount
-  chunks cross the wire without base64. Spoken only after a
-  :attr:`MessageType.HELLO` negotiation proves the peer understands it.
-
-The header's *version* byte is per-frame, so a connection can mix
-versions: HELLO and small control traffic stay v1-readable while bulk
-replies ride v2. A peer replies in the version of the frame it is
-answering, which is what lets old JSON-only clients talk to a new
-daemon without negotiating at all.
+There is one wire version (PROTOCOLS §1.7): the payload is a binary bulk
+frame (``serialize_binary``), a JSON envelope followed by raw blobs, so
+I-V arrays and mount chunks cross the wire without base64. Every peer
+speaks it from its first frame; a frame carrying any other version byte
+is rejected.
 """
 
 from __future__ import annotations
@@ -38,17 +30,10 @@ from enum import IntEnum
 from typing import Any, Protocol
 
 from repro.errors import FrameCorruptError, ProtocolError
-from repro.rpc.serialization import (
-    deserialize,
-    deserialize_binary,
-    serialize,
-    serialize_binary,
-)
+from repro.rpc.serialization import deserialize_binary, serialize_binary
 
 MAGIC = b"RICE"
-VERSION = 1  # JSON payload — the baseline every peer speaks
-BINARY_VERSION = 2  # binary bulk payload — negotiated via HELLO
-SUPPORTED_VERSIONS = frozenset({VERSION, BINARY_VERSION})
+VERSION = 2  # binary bulk payload, the only wire version
 HEADER = struct.Struct("!4sBBHII")
 HEADER_SIZE = HEADER.size  # 16
 MAX_PAYLOAD = 256 * 1024 * 1024  # defensive cap: 256 MiB
@@ -67,7 +52,6 @@ class MessageType(IntEnum):
     METADATA = 6
     CHALLENGE = 7  # server -> client: authenticate before anything else
     AUTH = 8  # client -> server: HMAC over the challenge nonce
-    HELLO = 9  # client -> server: version negotiation (always sent as v1)
 
 
 class Stream(Protocol):
@@ -80,90 +64,48 @@ class Stream(Protocol):
 
 @dataclass(frozen=True)
 class Message:
-    """A decoded frame.
-
-    ``version`` records which wire version the frame was (or should be)
-    encoded with. Handlers reply in the version of the frame they are
-    answering, so a connection serving both an old JSON client and a
-    binary-negotiated one never sends a frame the peer cannot read.
-    """
+    """A decoded frame."""
 
     msg_type: MessageType
     seq: int
     body: Any
     flags: int = 0
-    version: int = VERSION
 
     @property
     def oneway(self) -> bool:
         return bool(self.flags & FLAG_ONEWAY)
 
 
-def hello_body(max_version: int = BINARY_VERSION) -> dict[str, Any]:
-    """Build a HELLO body advertising the highest version we speak."""
-    return {"max_version": max_version}
-
-
-def negotiate_version(body: Any, our_max: int = BINARY_VERSION) -> int:
-    """Pick the common wire version from a decoded HELLO body.
-
-    Tolerant by design: a malformed or alien HELLO negotiates down to
-    v1 rather than erroring, because the worst case must be "we speak
-    JSON like before", never "the connection died over an upgrade".
-    """
-    peer_max = 1
-    if isinstance(body, dict):
-        raw = body.get("max_version")
-        if isinstance(raw, int) and raw >= 1:
-            peer_max = raw
-    agreed = min(our_max, peer_max)
-    return agreed if agreed in SUPPORTED_VERSIONS else VERSION
-
-
-def encode_payload(body: Any, version: int) -> list[bytes]:
-    """Serialise a body to payload parts for the given wire version."""
-    if version == BINARY_VERSION:
-        return serialize_binary(body)
-    return [serialize(body)]
-
-
-def decode_payload(payload: bytes, version: int) -> Any:
-    """Deserialise a payload according to its frame's wire version."""
-    if version == BINARY_VERSION:
-        return deserialize_binary(payload)
-    return deserialize(payload)
-
-
 def encode_message(msg: Message) -> bytes:
     """Serialise a message to one contiguous frame."""
-    parts = encode_payload(msg.body, msg.version)
+    parts = serialize_binary(msg.body)
     length = sum(len(p) for p in parts)
     if length > MAX_PAYLOAD:
         raise ProtocolError(
             f"payload of {length} bytes exceeds MAX_PAYLOAD={MAX_PAYLOAD}"
         )
     header = HEADER.pack(
-        MAGIC, msg.version, int(msg.msg_type), msg.flags, msg.seq, length
+        MAGIC, VERSION, int(msg.msg_type), msg.flags, msg.seq, length
     )
     return b"".join([header, *parts])
 
 
-def parse_header(header: bytes) -> tuple[int, MessageType, int, int, int]:
-    """Validate a 16-byte header; returns (version, type, flags, seq, length).
+def parse_header(header: bytes) -> tuple[MessageType, int, int, int]:
+    """Validate a 16-byte header; returns (type, flags, seq, length).
 
     Shared by the blocking reader and the reactor's incremental parser
     so both reject garbage identically.
 
     Raises:
         ProtocolError: bad magic, unsupported version, unknown type.
-        FrameCorruptError: declared payload exceeds MAX_PAYLOAD — for a
-            v2 frame that is indistinguishable from a torn length field,
-            and either way the stream cannot be resynchronised.
+        FrameCorruptError: declared payload exceeds MAX_PAYLOAD — that is
+            indistinguishable from a torn length field, and either way
+            the stream cannot be resynchronised.
     """
     magic, version, raw_type, flags, seq, length = HEADER.unpack(header)
     if magic != MAGIC:
         raise ProtocolError(f"bad frame magic {magic!r} (expected {MAGIC!r})")
-    if version not in SUPPORTED_VERSIONS:
+    if version != VERSION:
         raise ProtocolError(f"unsupported protocol version {version}")
     try:
         msg_type = MessageType(raw_type)
@@ -173,19 +115,18 @@ def parse_header(header: bytes) -> tuple[int, MessageType, int, int, int]:
         raise FrameCorruptError(
             f"declared payload {length} exceeds MAX_PAYLOAD={MAX_PAYLOAD}"
         )
-    return version, msg_type, flags, seq, length
+    return msg_type, flags, seq, length
 
 
 def decode_frame(
-    version: int, msg_type: MessageType, flags: int, seq: int, payload: bytes
+    msg_type: MessageType, flags: int, seq: int, payload: bytes
 ) -> Message:
     """Build a Message from parsed header fields plus its raw payload."""
     return Message(
         msg_type=msg_type,
         seq=seq,
-        body=decode_payload(payload, version),
+        body=deserialize_binary(payload),
         flags=flags,
-        version=version,
     )
 
 
@@ -203,9 +144,9 @@ def recv_message(stream: Stream) -> Message:
         FrameCorruptError: a binary payload was structurally damaged.
     """
     header = stream.recv_exactly(HEADER_SIZE)
-    version, msg_type, flags, seq, length = parse_header(header)
+    msg_type, flags, seq, length = parse_header(header)
     payload = stream.recv_exactly(length) if length else b""
-    return decode_frame(version, msg_type, flags, seq, payload)
+    return decode_frame(msg_type, flags, seq, payload)
 
 
 # --------------------------------------------------------------------------

@@ -41,13 +41,10 @@ from repro.errors import (
 from repro.rpc.context import current_tenant
 from repro.rpc.naming import PyroURI, parse_uri
 from repro.rpc.protocol import (
-    BINARY_VERSION,
     FLAG_ONEWAY,
-    VERSION,
     Message,
     MessageType,
     encode_message,
-    hello_body,
     recv_message,
     request_body,
     send_message,
@@ -150,12 +147,6 @@ class Proxy:
             pipelines — concurrent threads overlap their round trips on
             the one connection, and :meth:`pipeline` becomes available
             for single-threaded bursts.
-        binary: wire-format selection (PROTOCOLS §1.7). ``"auto"``
-            (default) sends a HELLO on connect and upgrades to the v2
-            binary bulk frames when the daemon agrees, silently staying
-            on v1 JSON against older daemons. ``False`` never negotiates
-            (pure v1, zero handshake cost). ``True`` negotiates and
-            *requires* v2 — :class:`ProtocolError` if the peer cannot.
     """
 
     def __init__(
@@ -167,13 +158,10 @@ class Proxy:
         tracer: Any = None,
         metrics: Any = None,
         max_inflight: int = 1,
-        binary: bool | str = "auto",
         tenant: str | None = None,
     ):
         if max_inflight < 1:
             raise ValueError(f"max_inflight must be >= 1, got {max_inflight}")
-        if binary not in (True, False, "auto"):
-            raise ValueError(f"binary must be True, False or 'auto', got {binary!r}")
         self._uri = parse_uri(uri)
         self._timeout = timeout
         self._secret = secret
@@ -184,13 +172,6 @@ class Proxy:
         self._seq = 0
         self._lock = threading.RLock()
         self._metadata: dict[str, Any] | None = None
-        self._binary = binary
-        # negotiated wire version for the *current* connection (None =
-        # not yet asked). Forgotten on close: the peer behind an endpoint
-        # can be replaced between dials (daemon restart, downgrade to a
-        # pre-HELLO build), so a cached v2 verdict from the old peer must
-        # never be replayed at a new one that only speaks v1.
-        self._negotiated: int | None = VERSION if binary is False else None
         self.tracer = tracer
         self.metrics = metrics
         # optional fencing token: when set, every REQUEST carries it and
@@ -227,73 +208,14 @@ class Proxy:
         """Size of the in-flight REQUEST window (1 = no pipelining)."""
         return self._max_inflight
 
-    @property
-    def wire_version(self) -> int:
-        """The negotiated protocol version (1 until a HELLO settles it)."""
-        return self._negotiated or VERSION
-
     def _ensure_connected(self) -> Connection:
         if self._conn is None:
             conn = self._connect_fn(self._uri.host, self._uri.port)
             conn.settimeout(self._timeout)
             if self._secret is not None:
                 self._answer_challenge(conn)
-            if self._negotiated is None:
-                conn = self._negotiate(conn)
             self._conn = conn
         return self._conn
-
-    def _negotiate(self, conn: Connection) -> Connection:
-        """Run the HELLO handshake; returns the connection to keep using.
-
-        The HELLO travels as v1, so every daemon can read it. A reactor
-        daemon answers RESPONSE ``{"version": N}``; a daemon predating
-        the handshake chokes on the unknown frame type, answers ERROR
-        and drops the connection — that outcome *is* the downgrade
-        signal, so the proxy settles on v1 and redials. An HMAC daemon
-        answers with its CHALLENGE, which a proxy without a secret cannot
-        meet: :class:`~repro.errors.AuthenticationError`. Transport
-        failures that are not a clean ERROR/close (timeouts, routing)
-        propagate: a partition must look like a partition, not like an
-        old peer.
-        """
-        try:
-            send_message(conn, Message(MessageType.HELLO, 0, hello_body()))
-            reply = recv_message(conn)
-        except _errors_module.CallTimeoutError:
-            conn.close()
-            raise
-        except _errors_module.ConnectionClosedError:
-            reply = None
-        if reply is not None and reply.msg_type is MessageType.CHALLENGE:
-            conn.close()
-            raise _errors_module.AuthenticationError(
-                "daemon requires authentication; no secret configured"
-            )
-        if reply is not None and reply.msg_type is MessageType.RESPONSE:
-            agreed = VERSION
-            if isinstance(reply.body, dict):
-                raw = reply.body.get("version")
-                if isinstance(raw, int) and raw >= 1:
-                    agreed = min(raw, BINARY_VERSION)
-            self._negotiated = agreed
-        else:
-            # ERROR reply or an immediate close: an old JSON-only peer.
-            # Its framing is gone (it may already have dropped us), so
-            # settle on v1, redial, and never ask this endpoint again.
-            self._negotiated = VERSION
-            conn.close()
-            conn = self._connect_fn(self._uri.host, self._uri.port)
-            conn.settimeout(self._timeout)
-            if self._secret is not None:
-                self._answer_challenge(conn)
-        if self._binary is True and self._negotiated < BINARY_VERSION:
-            conn.close()
-            raise ProtocolError(
-                f"binary=True but {self._uri} only speaks wire version "
-                f"{self._negotiated}"
-            )
-        return conn
 
     def _answer_challenge(self, conn: Connection) -> None:
         """Complete the daemon's HMAC handshake before first use."""
@@ -341,12 +263,6 @@ class Proxy:
                 self._conn.close()
                 self._conn = None
             self._metadata = None
-            if self._binary is not False:
-                # re-negotiate on the next dial: the endpoint may now be
-                # served by a different daemon (restart/downgrade), and
-                # sending cached-v2 frames at a v1-only peer would poison
-                # its framing instead of downgrading cleanly
-                self._negotiated = None
 
     def __enter__(self) -> "Proxy":
         return self
@@ -501,8 +417,8 @@ class Proxy:
                     cond.acquire()
                     self._reader_busy = False
                 if failure is None and msg.msg_type is MessageType.CHALLENGE:
-                    # an HMAC daemon challenges a connection that sent no
-                    # HELLO (binary=False) where its first reply belongs
+                    # an HMAC daemon challenges a proxy that has no secret
+                    # where its first reply belongs
                     failure = _errors_module.AuthenticationError(
                         "daemon requires authentication; no secret configured"
                     )
@@ -542,9 +458,7 @@ class Proxy:
             seq = self._next_seq()
         # encode before claiming a window slot: a serialisation error must
         # surface to this caller alone, not fail the whole pipeline
-        payload = encode_message(
-            Message(msg_type, seq, body, flags=flags, version=self.wire_version)
-        )
+        payload = encode_message(Message(msg_type, seq, body, flags=flags))
         slot = _PendingSlot()
         if not flags & FLAG_ONEWAY:
             # claiming may have to drain replies first — that is the

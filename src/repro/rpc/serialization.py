@@ -2,9 +2,11 @@
 
 The control channel crosses facility boundaries, so the format must be safe
 to deserialise from an untrusted peer: only plain data types are
-reconstructed, never arbitrary classes. NumPy arrays — the measurement
-payloads — travel as base64 raw buffers with dtype and shape, which keeps
-a 10k-point voltammogram to one contiguous copy each way.
+reconstructed, never arbitrary classes. Every frame's payload is the
+binary form (:func:`serialize_binary`): a tagged-JSON envelope with bulk
+values hoisted out as raw blobs. The all-JSON form (:func:`serialize`),
+where NumPy arrays travel as base64 raw buffers with dtype and shape, is
+the dedup journal's body encoding (``repro-journal-1``).
 
 Supported round-trip types:
 
@@ -146,7 +148,7 @@ def _decode(obj: Any) -> Any:
 
 
 # --------------------------------------------------------------------------
-# Binary bulk framing (wire protocol v2, PROTOCOLS §1.7)
+# Binary bulk framing (the wire payload, PROTOCOLS §1.7)
 # --------------------------------------------------------------------------
 #
 # The JSON path above base64-encodes every measurement array — a 10k-point

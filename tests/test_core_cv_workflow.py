@@ -111,3 +111,48 @@ class TestFailureModes:
         ice.workstation.syringe_pump.inject_fault("plunger jam")
         result = run_cv_workflow(ice)
         assert "B_configure_jkem" in result.summary()
+
+
+class TestRoundTrips:
+    def test_session_workflow_sends_44_frames_and_no_hello(self, ice, monkeypatch):
+        """Counted at the codec, where every frame is encoded once by
+        whichever side sends it: 21 calls and the task-A ping, each a
+        request and a reply. No HELLO (type 9) exchange opens a
+        connection, and a verified mount read is one call."""
+        import sys
+        from collections import Counter
+
+        import repro
+        import repro.rpc.protocol as protocol
+        from repro.rpc.protocol import MessageType
+
+        real = protocol.encode_message
+        frames: Counter = Counter()
+
+        def counting(msg):
+            frame = real(msg)
+            frames[frame[5]] += 1  # the header's message-type byte
+            return frame
+
+        settings = CVWorkflowSettings()
+        session = repro.connect(ice)
+        try:
+            session.run_workflow(settings=settings)  # dials the channels
+            for name, module in list(sys.modules.items()):
+                if name.startswith("repro") and getattr(
+                    module, "encode_message", None
+                ) is real:
+                    monkeypatch.setattr(module, "encode_message", counting)
+            ice.workstation.cell.drain()
+            result = session.run_workflow(settings=settings)
+        finally:
+            session.close()
+        assert result.succeeded
+        assert frames == {
+            MessageType.REQUEST: 21,
+            MessageType.RESPONSE: 21,
+            MessageType.PING: 1,
+            MessageType.PONG: 1,
+        }
+        assert sum(frames.values()) == 44
+        assert 9 not in frames

@@ -292,7 +292,9 @@ class TestConfigObjects:
         with pytest.raises(WorkflowError):
             TransportConfig(max_inflight=0)
         with pytest.raises(WorkflowError):
-            TransportConfig(binary="yes please")
+            TransportConfig(pipeline_depth=0)
+        with pytest.raises(TypeError):
+            TransportConfig(binary=False)  # one wire version: no option
 
     def test_session_config_gates_workflows_by_default(self, ice):
         from repro.errors import HealthGateError

@@ -176,6 +176,92 @@ class TestPipelinedReads:
             mount.unmount()
 
 
+@pytest.fixture()
+def served_share(tmp_path):
+    """(root, uri, daemon, service) of a share served over TCP."""
+    root = tmp_path / "share"
+    root.mkdir()
+    service = FileShareService(root, share_name="test")
+    daemon = Daemon(host="127.0.0.1", port=0)
+    uri = daemon.register(service, object_id="Share")
+    daemon.start_background()
+    yield root, uri, daemon, service
+    daemon.shutdown()
+
+
+class TestVerifiedReads:
+    """A verified read starts with ``read_head``: the first chunk, the
+    file's size and its SHA-256 in one share call."""
+
+    @pytest.mark.parametrize("depth", [1, 6])
+    @pytest.mark.parametrize("shape", sorted(FILE_SHAPES))
+    def test_every_shape_verifies(self, share, shape, depth):
+        root, uri = share
+        payload = FILE_SHAPES[shape]
+        (root / "data.bin").write_bytes(payload)
+        mount = _mount(uri, depth=depth)
+        try:
+            assert mount.read_bytes("data.bin", verify=True) == payload
+            assert mount.bytes_fetched == len(payload)
+        finally:
+            mount.unmount()
+
+    @pytest.mark.parametrize("depth", [1, 6])
+    def test_single_chunk_file_costs_one_share_call(self, served_share, depth):
+        root, uri, daemon, _service = served_share
+        (root / "cv.mpt").write_bytes(b"h" * 5000)
+        mount = _mount(uri, depth=depth)
+        try:
+            before = daemon.call_count
+            assert mount.read_bytes("cv.mpt", verify=True) == b"h" * 5000
+            assert daemon.call_count - before == 1
+        finally:
+            mount.unmount()
+
+    @pytest.mark.parametrize("depth", [1, 6])
+    def test_further_chunks_cost_no_stat_and_no_checksum(
+        self, served_share, depth
+    ):
+        root, uri, daemon, _service = served_share
+        (root / "data.bin").write_bytes(b"i" * (3 * CHUNK_SIZE))
+        mount = _mount(uri, depth=depth)
+        try:
+            before = daemon.call_count
+            mount.read_bytes("data.bin", verify=True)
+            # read_head plus the two further chunks, nothing else
+            assert daemon.call_count - before == 3
+        finally:
+            mount.unmount()
+
+    @pytest.mark.parametrize("depth", [1, 6])
+    def test_file_rewritten_between_chunks_fails_verification(
+        self, served_share, monkeypatch, depth
+    ):
+        from repro.obs import MetricsRegistry
+
+        root, uri, _daemon, service = served_share
+        path = root / "data.bin"
+        path.write_bytes(b"j" * (2 * CHUNK_SIZE + 9))
+        real = service.read_head
+
+        def head_then_rewrite(relative, size):
+            head = real(relative, size)
+            path.write_bytes(b"k" * (2 * CHUNK_SIZE + 9))
+            return head
+
+        monkeypatch.setattr(service, "read_head", head_then_rewrite)
+        metrics = MetricsRegistry()
+        mount = _mount(uri, depth=depth, metrics=metrics)
+        try:
+            with pytest.raises(DataChannelError, match="checksum mismatch"):
+                mount.read_bytes("data.bin", verify=True)
+            failures = metrics.get("datachannel.verify_failures_total")
+            assert failures is not None
+            assert failures.value(path="data.bin") == 1
+        finally:
+            mount.unmount()
+
+
 class TestICEPipelineDepth:
     def test_mount_knob_reaches_proxy(self, ice):
         mount = ice.mount(pipeline_depth=4)

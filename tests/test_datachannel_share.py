@@ -144,7 +144,14 @@ class TestMount:
         root, service, mount = share_setup
         write_mpt(root / "cv.mpt", reference_voltammogram)
         bare = Mount(mount._proxy, cache_dir=None)
-        monkeypatch.setattr(service, "checksum", lambda relative: "0" * 64)
+        # the digest a verified read checks against arrives with its
+        # first chunk
+        real = service.read_head
+        monkeypatch.setattr(
+            service,
+            "read_head",
+            lambda relative, size: {**real(relative, size), "sha256": "0" * 64},
+        )
         with pytest.raises(DataChannelError, match="checksum mismatch"):
             bare.read_voltammogram("cv.mpt")
 

@@ -46,14 +46,25 @@ class TestHandshake:
             with pytest.raises((AuthenticationError, ReproError)):
                 proxy.hello()
 
-    @pytest.mark.parametrize("binary", ["auto", False])
-    def test_missing_secret_rejected(self, secured, binary):
-        # binary=False sends no HELLO, so the daemon's CHALLENGE arrives
-        # where the first reply is expected: still an AuthenticationError
+    # the case ids keep the names of the client wire modes this test was
+    # first written for; with one wire left, the cases differ in what meets
+    # the daemon's CHALLENGE: one plain call (False) or a pipelined burst
+    # ("auto"), every call of which must fail the same way
+    @pytest.mark.parametrize("burst", [3, 0], ids=["auto", "False"])
+    def test_missing_secret_rejected(self, secured, burst):
+        # the daemon's CHALLENGE arrives where the first reply is expected
         connect, _ = secured
-        with connect(timeout=2.0, binary=binary) as proxy:
-            with pytest.raises(AuthenticationError):
-                proxy.hello()
+        if not burst:
+            with connect(timeout=2.0) as proxy:
+                with pytest.raises(AuthenticationError):
+                    proxy.hello()
+            return
+        with connect(timeout=2.0, max_inflight=burst) as proxy:
+            with proxy.pipeline() as pipe:
+                pending = [pipe.call("hello") for _ in range(burst)]
+                for reply in pending:
+                    with pytest.raises(AuthenticationError):
+                        reply.result()
 
     def test_secret_against_open_daemon_fails(self):
         daemon = Daemon()

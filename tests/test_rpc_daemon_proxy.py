@@ -14,7 +14,23 @@ from repro.errors import (
     RemoteInvocationError,
 )
 from repro.net.delay import delayed_loopback
-from repro.rpc import Daemon, Proxy, ThreadedDaemon, expose, oneway
+from repro.rpc import Daemon, Proxy, expose, oneway
+from repro.rpc.transport import Listener, TCPListener
+
+
+class _BlockingAcceptListener(Listener):
+    def __init__(self):
+        self._inner = TCPListener("127.0.0.1", 0)
+
+    def accept(self):
+        return self._inner.accept()
+
+    def close(self):
+        self._inner.close()
+
+    @property
+    def address(self):
+        return self._inner.address
 
 
 @expose
@@ -288,10 +304,13 @@ class TestLifecycle:
         # both serve from a thread blocked in accept(); closing the
         # listener must wake it instead of waiting out the join deadline
         if shape == "threaded":
-            daemon, factory = ThreadedDaemon(host="127.0.0.1"), None
+            # plain TCP behind a listener that offers only a blocking
+            # accept, so the daemon serves it thread-per-connection
+            listener, factory = _BlockingAcceptListener(), None
         else:
             listener, factory = delayed_loopback(0.0)
-            daemon = Daemon(listener=listener)
+        daemon = Daemon(listener=listener)
+        assert daemon.serving_mode == "threaded"
         uri = daemon.register(Service(), object_id="Svc")
         daemon.start_background()
         with Proxy(uri, connection_factory=factory) as proxy:

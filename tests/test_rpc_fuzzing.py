@@ -13,8 +13,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.rpc import Daemon, Proxy, expose
-from repro.rpc.protocol import HEADER, MAGIC
+from repro.rpc import Daemon, Proxy, deserialize_binary, expose
+from repro.rpc.protocol import HEADER, MAGIC, VERSION, MessageType, parse_header
 
 
 @expose
@@ -37,16 +37,39 @@ def served():
     daemon.shutdown()
 
 
-def raw_send(daemon, payload: bytes) -> None:
+def raw_send(daemon, payload: bytes) -> bytes:
+    """Send raw bytes, then end the stream; returns what the daemon sent
+    back before it dropped the connection."""
     host, port = daemon.address
+    received = bytearray()
     with socket.create_connection((host, port), timeout=2.0) as sock:
         sock.sendall(payload)
+        # end-of-stream: the daemon drops the connection at once instead
+        # of waiting for the rest of a frame that never comes
+        sock.shutdown(socket.SHUT_WR)
         sock.settimeout(0.5)
         try:
-            while sock.recv(4096):
-                pass
+            while chunk := sock.recv(4096):
+                received += chunk
         except (socket.timeout, OSError):
             pass
+    return bytes(received)
+
+
+def v2_frame(seq: int, envelope_body: bytes) -> bytes:
+    """A REQUEST whose binary payload carries ``envelope_body`` as the
+    envelope's body, hand-built so it need not be valid."""
+    envelope = b'{"body":' + envelope_body + b',"blobs":[]}'
+    payload = struct.pack("!I", len(envelope)) + envelope
+    return HEADER.pack(MAGIC, VERSION, 1, 0, seq, len(payload)) + payload
+
+
+def error_reply(data: bytes) -> dict:
+    """The body of the one ERROR frame in ``data``."""
+    msg_type, _flags, _seq, length = parse_header(data[:16])
+    assert msg_type is MessageType.ERROR
+    assert len(data) == 16 + length
+    return deserialize_binary(data[16:])
 
 
 class TestGarbageFrames:
@@ -58,21 +81,21 @@ class TestGarbageFrames:
 
     def test_wrong_magic(self, served):
         _service, daemon, uri = served
-        frame = HEADER.pack(b"EVIL", 1, 1, 0, 1, 4) + b"null"
+        frame = HEADER.pack(b"EVIL", VERSION, 1, 0, 1, 4) + b"null"
         raw_send(daemon, frame)
         with Proxy(uri) as proxy:
             assert proxy.bump() >= 1
 
     def test_huge_declared_payload(self, served):
         _service, daemon, uri = served
-        frame = HEADER.pack(MAGIC, 1, 1, 0, 1, 2**31 - 1)
+        frame = HEADER.pack(MAGIC, VERSION, 1, 0, 1, 2**31 - 1)
         raw_send(daemon, frame)
         with Proxy(uri) as proxy:
             assert proxy.bump() >= 1
 
     def test_truncated_frame_then_disconnect(self, served):
         _service, daemon, uri = served
-        frame = HEADER.pack(MAGIC, 1, 1, 0, 1, 100) + b"short"
+        frame = HEADER.pack(MAGIC, VERSION, 1, 0, 1, 100) + b"short"
         raw_send(daemon, frame)
         with Proxy(uri) as proxy:
             assert proxy.bump() >= 1
@@ -80,8 +103,9 @@ class TestGarbageFrames:
     def test_invalid_json_payload(self, served):
         _service, daemon, uri = served
         body = b"{definitely not json"
-        frame = HEADER.pack(MAGIC, 1, 1, 0, 7, len(body)) + body
-        raw_send(daemon, frame)
+        reply = raw_send(daemon, v2_frame(7, body))
+        # the frame got past the header to the payload decoder
+        assert error_reply(reply)["error_type"] == "SerializationError"
         with Proxy(uri) as proxy:
             assert proxy.bump() >= 1
 
@@ -90,11 +114,26 @@ class TestGarbageFrames:
         body = (
             b'{"object":"C","method":"__init__","args":[],"kwargs":{}}'
         )
-        frame = HEADER.pack(MAGIC, 1, 1, 0, 9, len(body)) + body
-        raw_send(daemon, frame)
+        service.calls = 5
+        reply = raw_send(daemon, v2_frame(9, body))
+        # decoded, then refused by the @expose check
+        assert error_reply(reply)["error_type"] == "MethodNotExposedError"
         with Proxy(uri) as proxy:
-            first = proxy.bump()
-        assert first >= 1  # and __init__ did not reset the counter below 1
+            assert proxy.bump() == 6  # __init__ did not reset the counter
+
+    def test_version_1_frame_rejected_and_daemon_keeps_serving(self, served):
+        # the retired all-JSON wire: a well-formed v1 REQUEST for an
+        # exposed method dies at the version byte and never executes
+        service, daemon, uri = served
+        body = b'{"object":"C","method":"bump","args":[],"kwargs":{}}'
+        frame = HEADER.pack(MAGIC, 1, 1, 0, 3, len(body)) + body
+        reply = raw_send(daemon, frame)
+        error = error_reply(reply)
+        assert error["error_type"] == "ProtocolError"
+        assert "unsupported protocol version 1" in error["message"]
+        assert service.calls == 0
+        with Proxy(uri) as proxy:
+            assert proxy.bump() == 1
 
     @given(st.binary(min_size=1, max_size=256))
     @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])

@@ -270,14 +270,10 @@ class TestSatelliteFixes:
         uri = daemon.register(EchoService(), object_id="Echo")
         daemon.start_background()
         try:
-            # binary=False: the HELLO handshake would add connection bytes
-            # that belong to no method, and this test asserts exact
-            # per-method attribution of every byte on the wire
             proxy = Proxy(
                 uri,
                 connection_factory=factory,
                 metrics=metrics,
-                binary=False,
                 max_inflight=max_inflight,
             )
             barrier = threading.Barrier(4)

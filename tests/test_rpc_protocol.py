@@ -72,9 +72,11 @@ def test_bad_magic_rejected():
 
 def test_bad_version_rejected():
     frame = bytearray(encode_message(Message(MessageType.PING, 1, None)))
-    frame[4] = 99
-    with pytest.raises(ProtocolError, match="version"):
-        recv_message(FakeStream(bytes(frame)))
+    assert frame[4] == 2  # the one wire version
+    for version in (1, 3, 99):
+        frame[4] = version
+        with pytest.raises(ProtocolError, match="version"):
+            recv_message(FakeStream(bytes(frame)))
 
 
 def test_unknown_message_type_rejected():

@@ -132,7 +132,8 @@ class Campaign:
         require_healthy: evaluate the health rules before the first
             round and refuse to start (:class:`~repro.errors.HealthGateError`)
             when the ecosystem is ``unhealthy``. Uses ``health_engine``,
-            or builds one over the ICE's metrics registry.
+            or builds one over the ICE's metrics registry that reads no
+            counter window (only gauges and histograms can fail it).
         health_engine: the :class:`~repro.obs.health.HealthEngine` the
             gate consults (share the session's to judge its window).
         flight_recorder: client-half flight recorder; abnormal rounds
@@ -189,7 +190,7 @@ class Campaign:
             raise WorkflowError("max_rounds must be >= 1")
         if self.require_healthy:
             if self.health_engine is None and self.ice.metrics is not None:
-                self.health_engine = HealthEngine(self.ice.metrics)
+                self.health_engine = HealthEngine(self.ice.metrics, stores=())
             _gate_healthy(self.health_engine, what="campaign")
         self.rounds.clear()
         self._open_journal(fresh=True)
@@ -251,7 +252,7 @@ class Campaign:
                 finished = True
         if self.require_healthy:
             if self.health_engine is None and self.ice.metrics is not None:
-                self.health_engine = HealthEngine(self.ice.metrics)
+                self.health_engine = HealthEngine(self.ice.metrics, stores=())
             _gate_healthy(self.health_engine, what="campaign")
         metrics = self.ice.metrics
         if metrics is not None:

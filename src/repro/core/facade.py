@@ -45,11 +45,7 @@ from repro.obs.recorder import FlightRecorder, pull_remote_snapshots
 from repro.obs.scrape import ObsAggregator, ObservabilityServer, format_top
 from repro.obs.slo import SLOEngine, default_objectives
 from repro.obs.stream import SessionStream, TelemetryBus
-from repro.obs.timeseries import (
-    SCHEMA as TSDB_SCHEMA,
-    TimeSeriesStore,
-    is_daemon_side_metric,
-)
+from repro.obs.timeseries import SCHEMA as TSDB_SCHEMA, TimeSeriesStore
 from repro.chemistry.voltammogram import Voltammogram
 from repro.durability.lease import LeaseServer
 from repro.ml.normality import NormalityClassifier, NormalityReport
@@ -204,9 +200,7 @@ class Session:
         # registry (an in-process ICE's store takes the daemon half),
         # scrapeable via Session.scrape() and merged by Session.top()
         self.timeseries = TimeSeriesStore(clock=self.tracer.clock)
-        self.timeseries.attach(
-            self.metrics, only=lambda name: not is_daemon_side_metric(name)
-        )
+        self.timeseries.attach(self.metrics, half="dgx")
         self.slo_engine = SLOEngine(
             self.timeseries,
             clock=self.tracer.clock,
@@ -313,10 +307,14 @@ class Session:
         # a breaker trip is one of the automatic black-box triggers:
         # hook on_open of whichever breaker guards the control channel
         self._hook_breaker_dump()
-        # baseline the health window only after the channels are up, so
-        # connection-time traffic does not count against the first verdict
+        # health reads its counter windows from the stores that already
+        # take this registry's writes: the session's half and, in-process,
+        # the daemon half in the ICE's store
+        stores = [self.timeseries]
+        if self.ice is not None:
+            stores.append(self.ice.obs_store)
         self.health_engine = HealthEngine(
-            self.metrics, clock=self.tracer.clock, bus=self.bus
+            self.metrics, clock=self.tracer.clock, bus=self.bus, stores=stores
         )
         # burn-rate alerts surface as the "slo" subsystem, so
         # require_healthy= gates and flight-recorder dumps see them

@@ -44,7 +44,7 @@ from repro.net.topology import Topology
 from repro.obs.recorder import FlightRecorder
 from repro.obs.scrape import ObservabilityServer
 from repro.obs.stream import TelemetryBus
-from repro.obs.timeseries import TimeSeriesStore, is_daemon_side_metric
+from repro.obs.timeseries import TimeSeriesStore
 from repro.rpc.daemon import Daemon
 from repro.rpc.naming import NameServer
 from repro.rpc.proxy import Proxy
@@ -457,7 +457,7 @@ class ElectrochemistryICE:
             self.obs_store.close()
             if tracer is not None:
                 self.obs_store.clock = tracer.clock
-            self.obs_store.attach(metrics, only=is_daemon_side_metric)
+            self.obs_store.attach(metrics, half="acl")
 
     # ------------------------------------------------------------------
     # Remote-side helpers (what runs on the DGX)

@@ -427,6 +427,8 @@ class Gateway:
     def close(self) -> None:
         self.stop()
         self.store.close()
+        for cell in self.scheduler.cells:
+            cell.close()
 
     def __enter__(self) -> "Gateway":
         return self

@@ -47,6 +47,8 @@ class Cell:
             (``healthy`` / ``degraded`` / ``unhealthy``). Defaults to a
             :class:`~repro.obs.health.HealthEngine` over the ICE's
             metrics registry when one is attached, else always-healthy.
+            That engine attaches its own rollup store to the registry at
+            the cell's first verdict; :meth:`close` detaches it.
         busy: a job is currently placed here.
     """
 
@@ -66,6 +68,11 @@ class Cell:
                 self._engine = HealthEngine(self.ice.metrics)
             return self._engine.evaluate().status
         return HEALTHY
+
+    def close(self) -> None:
+        if self._engine is not None:
+            self._engine.close()
+            self._engine = None
 
 
 @dataclass

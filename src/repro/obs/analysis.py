@@ -244,9 +244,11 @@ class TraceIndex:
     :meth:`ingest`) and turned into its dict form when read.
 
     Args:
-        max_traces: bound on retained traces; the oldest (by first-span
-            arrival) are evicted first, counted on
-            ``obs.trace.index_evicted_total``.
+        max_traces: bound on retained traces. The oldest (by first-span
+            arrival) are evicted first, in blocks: a new trace past the
+            bound evicts down to 7/8 of it, so the eviction counter
+            ``obs.trace.index_evicted_total`` is written once per block
+            rather than once per new trace.
         clock: stamp source for :meth:`get` documents.
         metrics: optional registry for the eviction counter.
     """
@@ -288,9 +290,11 @@ class TraceIndex:
             if record is None:
                 record = {"spans": [], "error": False, "root": None}
                 self._traces[trace_id] = record
-                while len(self._traces) > self.max_traces:
-                    self._traces.popitem(last=False)
-                    evicted += 1
+                if len(self._traces) > self.max_traces:
+                    keep = self.max_traces - self.max_traces // 8
+                    while len(self._traces) > keep:
+                        self._traces.popitem(last=False)
+                        evicted += 1
             record["spans"].append(span)
             if status == SpanStatus.ERROR:
                 record["error"] = True

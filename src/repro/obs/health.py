@@ -19,11 +19,15 @@ with human-readable reasons:
 - **chaos** — injected faults (a reminder that observed trouble may be
   an experiment, not an outage).
 
-Counters are *windowed*: each :meth:`HealthEngine.evaluate` snapshots
-every counter series and rates are computed against the oldest snapshot
-still inside ``window_s`` (the construction-time snapshot seeds the
-window, so a single end-of-run evaluation judges the whole run).
-Gauges are read live; histogram quantiles are lifetime aggregates.
+Counters are *windowed*: a counter rule reads how much the counter grew
+over the last ``window_s`` from the
+:class:`~repro.obs.timeseries.TimeSeriesStore` rollups that hold the
+registry's writes, so the engine keeps no history of its own. A window
+starts no earlier than its store's attach: writes made before then are
+never judged, and a run longer than ``window_s`` evaluated once is
+judged on its last ``window_s``. Gauges are read live; histogram
+quantiles are lifetime aggregates. The single-counter rules are the
+rows of :data:`COUNTER_RULES`.
 
 ``session.health_engine.evaluate()`` is the one-call surface;
 ``require_healthy=True`` on workflows and campaigns turns the verdict
@@ -34,12 +38,12 @@ into a pre-flight gate (:class:`~repro.errors.HealthGateError` on
 from __future__ import annotations
 
 import threading
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 from repro.clock import Clock, WALL
 from repro.obs.metrics import MetricsRegistry, bucket_quantile
+from repro.obs.timeseries import TimeSeriesStore
 
 HEALTHY = "healthy"
 DEGRADED = "degraded"
@@ -63,6 +67,48 @@ SUBSYSTEMS = (
 
 #: A probe returns None (nothing to report) or a (status, reason) pair.
 Probe = Callable[[], "tuple[str, str] | None"]
+
+#: The single-counter rules, in merge order: ``(subsystem, counter,
+#: label filter, details key, threshold, status, reason)``. Each row
+#: reports the counter's windowed increase (summed over the label sets
+#: the filter matches) under its details key, and merges ``status`` with
+#: ``reason`` (formatted with the increase) once the increase reaches
+#: ``threshold`` — a count, or the name of a :class:`HealthThresholds`
+#: field. A row with no status is only reported.
+COUNTER_RULES = (
+    ("resilience", "resilience.retries_total", {}, "retries",
+     "retries_degraded", DEGRADED, "{:.0f} call retries in window"),
+    ("datachannel", "datachannel.verify_failures_total", {}, "verify_failures",
+     1, UNHEALTHY, "{:.0f} checksum verify failure(s) on the mount"),
+    ("datachannel", "datachannel.watcher.poll_failures_total", {}, "poll_failures",
+     1, DEGRADED, "{:.0f} failed directory poll(s)"),
+    ("workflow", "workflow.tasks_total", {"state": "failed"}, "failed_tasks",
+     1, UNHEALTHY, "{:.0f} failed workflow task(s)"),
+    ("workflow", "workflow.tasks_total", {"state": "skipped"}, "skipped_tasks",
+     1, DEGRADED, "{:.0f} skipped workflow task(s)"),
+    ("fleet", "fleet.cells_total", {"status": "error"}, "cells_errored",
+     1, UNHEALTHY, "{:.0f} fleet cell(s) crashed"),
+    ("chaos", "chaos.faults_total", {}, "faults_injected",
+     1, DEGRADED, "{:.0f} chaos fault(s) injected in window"),
+    # a fenced call is the lease stopping a split brain, but a sign the
+    # operator should find and kill the zombie predecessor issuing it
+    ("durability", "durability.lease_fenced_total", {}, "lease_fenced",
+     1, DEGRADED, "{:.0f} stale-lease call(s) fenced in window"),
+    ("durability", "durability.torn_tails_total", {}, "torn_tails",
+     1, DEGRADED, "{:.0f} torn journal tail(s) detected (crash mid-append)"),
+    ("durability", "recovery.daemon_restarts_total", {}, "daemon_restarts",
+     1, DEGRADED, "{:.0f} daemon restart(s) in window (recovering)"),
+    ("durability", "recovery.resumes_total", {}, "campaign_resumes",
+     None, None, ""),
+    ("gateway", "gateway.jobs_finished_total", {"status": "failed"}, "jobs_failed",
+     1, DEGRADED, "{:.0f} gateway job(s) failed in window"),
+    ("gateway", "gateway.rejects_total", {"reason": "auth"}, "auth_rejects",
+     1, DEGRADED, "{:.0f} tenant auth rejection(s) in window"),
+    # a skip is the scheduler working, but a window full of them means
+    # capacity is down: the operator should know before the queue does
+    ("gateway", "gateway.scheduler_skips_total", {}, "unhealthy_cell_skips",
+     1, DEGRADED, "{:.0f} placement(s) skipped an unhealthy cell in window"),
+)
 
 
 @dataclass(frozen=True)
@@ -186,15 +232,18 @@ class HealthEngine:
     """Evaluates the health rules over a metrics registry.
 
     Args:
-        metrics: the registry every layer reports into.
-        clock: time source for window bookkeeping (share the session's).
+        metrics: the registry every layer reports into; the engine reads
+            its gauges and histograms live.
+        clock: time source of the report stamp and of the engine's own
+            store (share the session's).
         window_s: rolling-window width for counter-rate rules.
         thresholds: rule bounds; defaults in :class:`HealthThresholds`.
-
-    A construction-time counter snapshot seeds the window, so an engine
-    built at session start and evaluated once at session end judges the
-    whole run — and an engine evaluated periodically judges only the
-    recent window.
+        stores: the :class:`~repro.obs.timeseries.TimeSeriesStore`
+            rollups the counter rules read. Between them they must take
+            each write of ``metrics`` once: the session passes its own
+            store and, in-process, the ICE's. None attaches one store of
+            the engine's own to ``metrics`` (:meth:`close` detaches it);
+            an empty sequence sees no counter growth at all.
     """
 
     def __init__(
@@ -204,6 +253,7 @@ class HealthEngine:
         window_s: float = 300.0,
         thresholds: HealthThresholds | None = None,
         bus: Any | None = None,
+        stores: Sequence[TimeSeriesStore] | None = None,
     ):
         if window_s <= 0:
             raise ValueError(f"window_s must be > 0, got {window_s}")
@@ -215,11 +265,20 @@ class HealthEngine:
         #: every *change* of the overall status publishes a ``health``
         #: event, so the live feed shows the flip the moment it happens.
         self.bus = bus
+        self._own_store: TimeSeriesStore | None = None
+        if stores is None:
+            self._own_store = TimeSeriesStore(clock=self.clock)
+            self._own_store.attach(metrics)
+            stores = (self._own_store,)
+        self.stores = tuple(stores)
         self._lock = threading.Lock()
-        self._history: deque[tuple[float, dict[Any, float]]] = deque()
         self._probes: list[tuple[str, Probe]] = []
         self._last_status: str | None = None
-        self._history.append((self.clock.now(), self._snapshot_counters()))
+
+    def close(self) -> None:
+        """Detach the store the engine attached for itself, if any."""
+        if self._own_store is not None:
+            self._own_store.close()
 
     # -- live-object probes -------------------------------------------------
     def register_probe(self, subsystem: str, probe: Probe) -> None:
@@ -293,34 +352,13 @@ class HealthEngine:
 
         self.register_probe(subsystem, probe)
 
-    # -- windowed counter bookkeeping ---------------------------------------
-    def _snapshot_counters(self) -> dict[Any, float]:
-        readings: dict[Any, float] = {}
-        for name in self.metrics.names():
-            metric = self.metrics.get(name)
-            if metric is None or metric.kind != "counter":
-                continue
-            for labels, state in metric.series():
-                readings[(name, tuple(sorted(labels.items())))] = state[0]
-        return readings
-
-    @staticmethod
-    def _delta_sum(
-        current: dict[Any, float],
-        baseline: dict[Any, float],
-        name: str,
-        **label_filter: Any,
-    ) -> float:
-        """Windowed increase of ``name``, summed over matching label sets."""
+    # -- windows and quantiles --------------------------------------------
+    def _increase(self, name: str, labels: dict[str, str] | None = None) -> float:
+        """How much counter ``name`` grew over the window, summed over
+        the label sets ``labels`` matches in every store."""
         total = 0.0
-        for key, value in current.items():
-            metric_name, label_key = key
-            if metric_name != name:
-                continue
-            labels = dict(label_key)
-            if any(labels.get(k) != str(v) for k, v in label_filter.items()):
-                continue
-            total += value - baseline.get(key, 0.0)
+        for store in self.stores:
+            total += store.window_stats(name, labels, window_s=self.window_s)["sum"]
         return total
 
     def _aggregate_quantile(self, name: str, q: float) -> float | None:
@@ -348,28 +386,21 @@ class HealthEngine:
     def evaluate(self) -> HealthReport:
         """Run every rule; returns the per-subsystem verdict report."""
         now = self.clock.now()
-        current = self._snapshot_counters()
         with self._lock:
-            # keep at least one snapshot older than now as the baseline;
-            # drop older ones only when a newer in-window baseline exists
-            while (
-                len(self._history) >= 2
-                and self._history[1][0] <= now - self.window_s
-            ):
-                self._history.popleft()
-            baseline = self._history[0][1] if self._history else {}
-            self._history.append((now, current))
             probes = list(self._probes)
 
         subsystems = {name: SubsystemHealth(name) for name in SUBSYSTEMS}
-        self._rule_rpc(subsystems["rpc"], current, baseline)
-        self._rule_resilience(subsystems["resilience"], current, baseline)
-        self._rule_datachannel(subsystems["datachannel"], current, baseline)
-        self._rule_workflow(subsystems["workflow"], current, baseline)
-        self._rule_fleet(subsystems["fleet"], current, baseline)
-        self._rule_chaos(subsystems["chaos"], current, baseline)
-        self._rule_durability(subsystems["durability"], current, baseline)
-        self._rule_gateway(subsystems["gateway"], current, baseline)
+        self._rule_rpc(subsystems["rpc"])
+        self._rule_breakers(subsystems["resilience"])
+        for subsystem, name, labels, key, threshold, status, reason in COUNTER_RULES:
+            sub = subsystems[subsystem]
+            increase = sub.details[key] = self._increase(name, labels)
+            if status is None:
+                continue
+            if isinstance(threshold, str):
+                threshold = getattr(self.thresholds, threshold)
+            if increase >= threshold:
+                sub.merge(status, reason.format(increase))
 
         for subsystem, probe in probes:
             target = subsystems.setdefault(subsystem, SubsystemHealth(subsystem))
@@ -404,35 +435,23 @@ class HealthEngine:
                 pass
         return report
 
-    # -- rules --------------------------------------------------------------
-    def _rule_rpc(
-        self,
-        sub: SubsystemHealth,
-        current: dict[Any, float],
-        baseline: dict[Any, float],
-    ) -> None:
+    # -- rules that are code ------------------------------------------------
+    def _rule_rpc(self, sub: SubsystemHealth) -> None:
         t = self.thresholds
-        calls = self._delta_sum(current, baseline, "rpc.client.calls_total")
-        errors = self._delta_sum(
-            current, baseline, "rpc.client.calls_total", status="error"
+        calls = sub.details["calls"] = self._increase("rpc.client.calls_total")
+        errors = sub.details["errors"] = self._increase(
+            "rpc.client.calls_total", {"status": "error"}
         )
-        sub.details["calls"] = calls
-        sub.details["errors"] = errors
         if calls >= t.rpc_min_calls:
-            rate = errors / calls
-            sub.details["error_rate"] = rate
+            rate = sub.details["error_rate"] = errors / calls
+            reason = (
+                f"client error rate {rate:.0%} "
+                f"({errors:.0f}/{calls:.0f} calls in window)"
+            )
             if rate >= t.rpc_error_rate_unhealthy:
-                sub.merge(
-                    UNHEALTHY,
-                    f"client error rate {rate:.0%} "
-                    f"({errors:.0f}/{calls:.0f} calls in window)",
-                )
+                sub.merge(UNHEALTHY, reason)
             elif rate >= t.rpc_error_rate_degraded:
-                sub.merge(
-                    DEGRADED,
-                    f"client error rate {rate:.0%} "
-                    f"({errors:.0f}/{calls:.0f} calls in window)",
-                )
+                sub.merge(DEGRADED, reason)
         p95 = self._aggregate_quantile("rpc.client.call_latency_s", 0.95)
         if p95 is not None:
             sub.details["p95_latency_s"] = p95
@@ -441,12 +460,7 @@ class HealthEngine:
             elif p95 >= t.rpc_p95_degraded_s:
                 sub.merge(DEGRADED, f"p95 call latency {p95:.2f}s")
 
-    def _rule_resilience(
-        self,
-        sub: SubsystemHealth,
-        current: dict[Any, float],
-        baseline: dict[Any, float],
-    ) -> None:
+    def _rule_breakers(self, sub: SubsystemHealth) -> None:
         gauge = self.metrics.get("resilience.breaker.state")
         if gauge is not None and gauge.kind == "gauge":
             for labels, state in gauge.series():
@@ -456,150 +470,6 @@ class HealthEngine:
                     sub.merge(UNHEALTHY, f"breaker {breaker!r} open")
                 elif value == 2:
                     sub.merge(DEGRADED, f"breaker {breaker!r} half-open (probing)")
-        retries = self._delta_sum(current, baseline, "resilience.retries_total")
-        sub.details["retries"] = retries
-        if retries >= self.thresholds.retries_degraded:
-            sub.merge(DEGRADED, f"{retries:.0f} call retries in window")
-
-    def _rule_datachannel(
-        self,
-        sub: SubsystemHealth,
-        current: dict[Any, float],
-        baseline: dict[Any, float],
-    ) -> None:
-        verify_failures = self._delta_sum(
-            current, baseline, "datachannel.verify_failures_total"
-        )
-        sub.details["verify_failures"] = verify_failures
-        if verify_failures > 0:
-            sub.merge(
-                UNHEALTHY,
-                f"{verify_failures:.0f} checksum verify failure(s) "
-                "on the mount",
-            )
-        poll_failures = self._delta_sum(
-            current, baseline, "datachannel.watcher.poll_failures_total"
-        )
-        sub.details["poll_failures"] = poll_failures
-        if poll_failures > 0:
-            sub.merge(
-                DEGRADED, f"{poll_failures:.0f} failed directory poll(s)"
-            )
-
-    def _rule_workflow(
-        self,
-        sub: SubsystemHealth,
-        current: dict[Any, float],
-        baseline: dict[Any, float],
-    ) -> None:
-        failed = self._delta_sum(
-            current, baseline, "workflow.tasks_total", state="failed"
-        )
-        skipped = self._delta_sum(
-            current, baseline, "workflow.tasks_total", state="skipped"
-        )
-        sub.details["failed_tasks"] = failed
-        sub.details["skipped_tasks"] = skipped
-        if failed > 0:
-            sub.merge(UNHEALTHY, f"{failed:.0f} failed workflow task(s)")
-        if skipped > 0:
-            sub.merge(DEGRADED, f"{skipped:.0f} skipped workflow task(s)")
-
-    def _rule_fleet(
-        self,
-        sub: SubsystemHealth,
-        current: dict[Any, float],
-        baseline: dict[Any, float],
-    ) -> None:
-        errored = self._delta_sum(
-            current, baseline, "fleet.cells_total", status="error"
-        )
-        sub.details["cells_errored"] = errored
-        if errored > 0:
-            sub.merge(UNHEALTHY, f"{errored:.0f} fleet cell(s) crashed")
-
-    def _rule_chaos(
-        self,
-        sub: SubsystemHealth,
-        current: dict[Any, float],
-        baseline: dict[Any, float],
-    ) -> None:
-        faults = self._delta_sum(current, baseline, "chaos.faults_total")
-        sub.details["faults_injected"] = faults
-        if faults > 0:
-            sub.merge(
-                DEGRADED, f"{faults:.0f} chaos fault(s) injected in window"
-            )
-
-    def _rule_durability(
-        self,
-        sub: SubsystemHealth,
-        current: dict[Any, float],
-        baseline: dict[Any, float],
-    ) -> None:
-        # fencing rejections mean a zombie predecessor is still issuing
-        # commands — exactly the split-brain the lease exists to stop,
-        # but a sign the operator should find and kill the old process
-        fenced = self._delta_sum(
-            current, baseline, "durability.lease_fenced_total"
-        )
-        sub.details["lease_fenced"] = fenced
-        if fenced > 0:
-            sub.merge(
-                DEGRADED, f"{fenced:.0f} stale-lease call(s) fenced in window"
-            )
-        torn = self._delta_sum(current, baseline, "durability.torn_tails_total")
-        sub.details["torn_tails"] = torn
-        if torn > 0:
-            sub.merge(
-                DEGRADED,
-                f"{torn:.0f} torn journal tail(s) detected (crash mid-append)",
-            )
-        restarts = self._delta_sum(
-            current, baseline, "recovery.daemon_restarts_total"
-        )
-        resumes = self._delta_sum(current, baseline, "recovery.resumes_total")
-        sub.details["daemon_restarts"] = restarts
-        sub.details["campaign_resumes"] = resumes
-        if restarts > 0:
-            sub.merge(
-                DEGRADED,
-                f"{restarts:.0f} daemon restart(s) in window (recovering)",
-            )
-
-    def _rule_gateway(
-        self,
-        sub: SubsystemHealth,
-        current: dict[Any, float],
-        baseline: dict[Any, float],
-    ) -> None:
-        failed = self._delta_sum(
-            current, baseline, "gateway.jobs_finished_total", status="failed"
-        )
-        sub.details["jobs_failed"] = failed
-        if failed > 0:
-            sub.merge(DEGRADED, f"{failed:.0f} gateway job(s) failed in window")
-        auth_rejects = self._delta_sum(
-            current, baseline, "gateway.rejects_total", reason="auth"
-        )
-        sub.details["auth_rejects"] = auth_rejects
-        if auth_rejects > 0:
-            sub.merge(
-                DEGRADED,
-                f"{auth_rejects:.0f} tenant auth rejection(s) in window",
-            )
-        # a cell skipped for health is the scheduler *working*, but a
-        # window full of skips means capacity is down — the operator
-        # should know before the queue does
-        skips = self._delta_sum(
-            current, baseline, "gateway.scheduler_skips_total"
-        )
-        sub.details["unhealthy_cell_skips"] = skips
-        if skips > 0:
-            sub.merge(
-                DEGRADED,
-                f"{skips:.0f} placement(s) skipped an unhealthy cell in window",
-            )
 
 
 def require_healthy(

@@ -33,7 +33,6 @@ from repro.obs.metrics import (
     OVERFLOW_VALUE,
     _Instrument,
     _label_key,
-    is_daemon_side_metric,
 )
 from repro.obs.primitives import CursorRing
 
@@ -106,8 +105,8 @@ class TimeSeriesStore:
 
     Thread-safe; :meth:`ingest` is on the metric hot path, so it does
     one lock acquire, one dict lookup and one rollup update per
-    configured resolution. Attach with ``only=`` to take a name-filtered
-    slice of a shared registry (see :func:`is_daemon_side_metric`).
+    configured resolution. Attach with ``half=`` to take one half of a
+    registry that an in-process ICE shares with its session.
     """
 
     def __init__(
@@ -132,22 +131,24 @@ class TimeSeriesStore:
         self._unsubscribe: Callable[[], None] | None = None
 
     # -- attachment ---------------------------------------------------------
-    def attach(
-        self,
-        registry: MetricsRegistry,
-        only: Callable[[str], bool] | None = None,
-    ) -> None:
-        """Subscribe to ``registry`` writes (optionally name-filtered).
+    def attach(self, registry: MetricsRegistry, half: str | None = None) -> None:
+        """Subscribe to ``registry`` writes: to one of its
+        :attr:`~MetricsRegistry.halves` (``"dgx"``, the session's, or
+        ``"acl"``, the daemon's), or to both when ``half`` is None.
 
-        Counter series that already exist are seeded with their current
-        cumulative reading so the first post-attach increment rolls up
-        as its true delta, not the lifetime total. A store closed and
-        attached to another registry keeps its rings and scrape cursor;
-        only the counter readings restart from the new registry's.
+        Counter series of the kept half that already exist are seeded
+        with their current cumulative reading so the first post-attach
+        increment rolls up as its true delta, not the lifetime total. A
+        store closed and attached to another registry keeps its rings
+        and scrape cursor; only the counter readings restart from the
+        new registry's.
         """
         if self._unsubscribe is not None:
             raise RuntimeError("store is already attached")
+        if half not in (None, "dgx", "acl"):
+            raise ValueError(f"half must be 'dgx', 'acl' or None, not {half!r}")
         self._registry = registry
+        halves = registry.halves
         with self._lock:
             for series in self._series.values():
                 series.last_raw = 0.0
@@ -157,7 +158,7 @@ class TimeSeriesStore:
                     continue
                 if name.startswith(OWN_METRIC_PREFIX):
                     continue
-                if only is not None and not only(name):
+                if half is not None and halves.daemon_side(name) != (half == "acl"):
                     continue
                 for labels, state in metric.series():
                     series = self._get_series(
@@ -165,14 +166,8 @@ class TimeSeriesStore:
                     )
                     if series is not None:
                         series.last_raw = state[0]
-
-        def take(metric: _Instrument, key: LabelKey, labels: dict, value: float) -> None:
-            if only(metric.name):
-                self.ingest(metric, key, labels, value)
-
-        ingest = self.ingest if only is None else take
-        halves = registry.halves
-        removes = [halves.dgx.add(ingest), halves.acl.add(ingest)]
+        kept = (halves.dgx, halves.acl) if half is None else (getattr(halves, half),)
+        removes = [fanout.add(self.ingest) for fanout in kept]
         self._unsubscribe = lambda: [remove() for remove in removes]
 
     @property
@@ -291,12 +286,14 @@ class TimeSeriesStore:
             self._export.append(lambda seq: {"seq": seq, **row})
 
     def flush(self, now: float | None = None, force: bool = False) -> int:
-        """Close open cells whose window has ended (all of them if forced).
+        """Close open cells whose window has ended (forced: also every open
+        cell of the base resolution, the one the scrape feed exports).
 
         A forced flush may retire a partial cell; later samples in the
         same wall-clock window simply open a fresh cell with the same
         ``start``, so sums over scraped rows stay exact (readers merging
-        by ``start`` see at most a few cells per window). Returns the
+        by ``start`` see at most a few cells per window). Coarser rings,
+        which long windows read, keep one cell per window. Returns the
         number of cells closed.
         """
         now = self.clock.now() if now is None else now
@@ -307,7 +304,7 @@ class TimeSeriesStore:
                     cell = series.open.get(res)
                     if cell is None or cell.count == 0:
                         continue
-                    if force or cell.start + res <= now:
+                    if cell.start + res <= now or (force and res == self.base_resolution):
                         self._close_cell(series, res, cell)
                         del series.open[res]
                         closed += 1

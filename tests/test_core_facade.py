@@ -182,6 +182,44 @@ class TestObservabilityLifecycle:
             assert self._daemon_half(ice)[0] > ice_spans
 
 
+class TestSessionHealthWindows:
+    """The session's health engine reads the rollup stores of both halves."""
+
+    def test_daemon_half_counters_reach_the_session_verdict(self, ice):
+        from repro.facility.ice import HOST_DGX
+        from repro.net.chaos import ChaosController
+
+        with repro.connect(ice) as session:
+            chaos = ChaosController(ice.simnet, metrics=session.metrics)
+            try:
+                chaos.partition([(HOST_DGX, "ornl-wan")])
+                report = session.health_engine.evaluate()
+            finally:
+                chaos.stop()
+            # the fault counter is daemon-half: only the ICE's store has it
+            assert "chaos.faults_total" in ice.obs_store.names()
+            assert "chaos.faults_total" not in session.timeseries.names()
+        chaos_health = report.subsystems["chaos"]
+        assert chaos_health.status == "degraded"
+        assert chaos_health.reasons == ["1 chaos fault(s) injected in window"]
+        assert chaos_health.details == {"faults_injected": 1.0}
+
+    def test_uri_session_reads_its_own_store(self, ice_tcp):
+        with repro.connect(ice_tcp.control_uri) as session:
+            assert session.health_engine.stores == (session.timeseries,)
+
+    def test_in_process_session_adds_no_metric_consumer(self, ice):
+        metrics = MetricsRegistry()
+        with repro.connect(ice, metrics=metrics) as session:
+            assert session.health_engine.stores == (
+                session.timeseries,
+                ice.obs_store,
+            )
+            # the live feed and one rollup store on each half, no more
+            assert len(metrics.halves.dgx.fns) == 2
+            assert len(metrics.halves.acl.fns) == 2
+
+
 class TestSessionLifecycle:
     def test_close_releases_the_scrape_connection(self, ice_tcp):
         reactor = ice_tcp.control_daemon._reactor

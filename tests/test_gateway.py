@@ -12,6 +12,8 @@ re-touching instruments.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.clock import VirtualClock
@@ -239,6 +241,27 @@ class TestHealthGating:
             assert view["state"] == SUCCEEDED
             assert view["cell"] == "c2"
             assert [cell for _, cell, _ in log] == ["c2"]
+
+    def test_cell_engine_judges_its_registry_and_close_detaches_it(
+        self, tmp_path
+    ):
+        registry = MetricsRegistry()
+        halves = registry.halves
+        # a crash recorded before the cell's first verdict is not judged
+        registry.counter("fleet.cells_total").inc(status="error")
+        gateway = Gateway(
+            [Cell("c1", ice=SimpleNamespace(metrics=registry))],
+            tmp_path / "gw",
+            tenants=(A,),
+        )
+        with gateway:
+            assert halves.dgx.fns == () and halves.acl.fns == ()
+            assert gateway.scheduler.pick_cell().name == "c1"
+            # the first verdict attached one store, on both halves
+            assert len(halves.dgx.fns) == 1 and len(halves.acl.fns) == 1
+            registry.counter("fleet.cells_total").inc(status="error")
+            assert gateway.scheduler.pick_cell() is None
+        assert halves.dgx.fns == () and halves.acl.fns == ()
 
 
 class TestCancel:

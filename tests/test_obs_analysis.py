@@ -257,6 +257,30 @@ class TestTraceIndex:
         assert ids[0] not in index.trace_ids()
         assert reg.counter(INDEX_EVICTED_METRIC).value() == 1
 
+    def test_eviction_runs_in_blocks_with_one_write_each(self):
+        clock, tracer = self._tracer()
+        reg = MetricsRegistry()
+        writes = []
+        reg.add_update_listener(lambda name, *_: writes.append(name))
+        index = TraceIndex(max_traces=16, clock=clock, metrics=reg)
+        index.attach(tracer)
+        ids = []
+        for _ in range(16 + 1 + 2):
+            span = tracer.start_span("op", parent=None)
+            span.end()
+            ids.append(span.trace_id)
+        # the 17th trace evicted the three oldest at once (down to 14);
+        # the next two refilled to 16 without evicting
+        assert len(index) == 16
+        assert index.trace_ids() == ids[3:]
+        assert writes == [INDEX_EVICTED_METRIC]
+        assert reg.counter(INDEX_EVICTED_METRIC).value() == 3
+        span = tracer.start_span("op", parent=None)
+        span.end()
+        assert len(index) == 14
+        assert writes == [INDEX_EVICTED_METRIC] * 2
+        assert reg.counter(INDEX_EVICTED_METRIC).value() == 6
+
     def test_ingest_stamps_capturing_service(self):
         index = TraceIndex()
         count = index.ingest(

@@ -6,11 +6,7 @@ import pytest
 
 from repro.clock import VirtualClock
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.timeseries import (
-    DEFAULT_RESOLUTIONS,
-    TimeSeriesStore,
-    is_daemon_side_metric,
-)
+from repro.obs.timeseries import TimeSeriesStore
 
 
 @pytest.fixture
@@ -143,17 +139,46 @@ class TestRollups:
         points = store.query("c")
         assert len(points) <= 6  # 5 closed + 1 open
 
-    def test_only_filter_splits_a_shared_registry(self):
+    def test_scrapes_do_not_shorten_a_long_window(self, rig):
+        # a 300 s window reads the 10 s ring (the 1 s ring keeps 240 s);
+        # a scrape each second must not fill that ring with partial cells
+        clock, reg, store = rig
+        counter = reg.counter("c")
+        cursor, scraped = 0, 0.0
+        for _ in range(280):
+            for _ in range(4):
+                counter.inc()
+                clock.advance(0.25)
+            rows, cursor, _ = store.scrape(cursor)
+            scraped += sum(row["sum"] for row in rows)
+        assert scraped == 1120.0  # the feed still sees every write at once
+        assert store.window_stats("c", window_s=300.0)["sum"] == 1120.0
+
+    def test_halves_split_a_shared_registry(self):
         clock = VirtualClock()
         reg = MetricsRegistry()
         daemon_store = TimeSeriesStore(clock=clock)
-        daemon_store.attach(reg, only=is_daemon_side_metric)
+        daemon_store.attach(reg, half="acl")
         session_store = TimeSeriesStore(clock=clock)
-        session_store.attach(reg, only=lambda n: not is_daemon_side_metric(n))
+        session_store.attach(reg, half="dgx")
         reg.counter("rpc.daemon.calls_total").inc()
         reg.counter("rpc.client.calls_total").inc()
         assert daemon_store.names() == ["rpc.daemon.calls_total"]
         assert session_store.names() == ["rpc.client.calls_total"]
+
+    def test_half_subscribes_and_seeds_only_its_own(self):
+        clock = VirtualClock()
+        reg = MetricsRegistry()
+        reg.counter("rpc.daemon.calls_total").inc(5)
+        reg.counter("rpc.client.calls_total").inc(7)
+        store = TimeSeriesStore(clock=clock)
+        store.attach(reg, half="dgx")
+        assert store.names() == ["rpc.client.calls_total"]
+        assert len(reg.halves.dgx.fns) == 1 and reg.halves.acl.fns == ()
+        reg.counter("rpc.client.calls_total").inc()
+        assert store.window_stats("rpc.client.calls_total")["sum"] == 1.0
+        with pytest.raises(ValueError):
+            TimeSeriesStore(clock=clock).attach(reg, half="both")
 
     def test_close_unsubscribes(self, rig):
         clock, reg, store = rig
